@@ -152,8 +152,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"mode must be pure or augmented, got {cfg.mode!r}")
     if cfg.channels < 1 or cfg.groups < 1 or cfg.channels % cfg.groups != 0:
         raise ConfigError("groups must be positive and divide channels")
-    if cfg.voxel_size <= 0:
-        raise ConfigError("voxel_size must be > 0")
+    for key in ("voxel_size", "extent"):
+        value = getattr(cfg, key)
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{key} must be finite and > 0, got {value}")
     if cfg.precision not in (32, 64):
         raise ConfigError("precision must be 32 or 64")
     if cfg.n_points < 0:

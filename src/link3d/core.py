@@ -19,6 +19,8 @@ from .errors import BoundsError, ConfigError, DimensionError, DuplicateCoordErro
 COORD_BITS = 15
 COORD_BOUND = 1 << COORD_BITS       # spatial components in [-32768, 32768)
 BATCH_BOUND = 1 << 16               # batch index in [0, 65536)
+KEY_FIELD = 1 << 16                 # values one x, y or z field of a key holds
+KEY_XYZ_SHIFTS = (32, 16, 0)        # bit offsets of the x, y, z fields
 
 
 class VoxelCoord(NamedTuple):

@@ -101,10 +101,20 @@ def voxel_majority_labels(cloud: PointCloud, point_labels: np.ndarray,
     """Majority label of the points inside each voxel of ``t`` (ties: lowest id)."""
     vox = np.floor(cloud.points / voxel_size).astype(np.int64)
     coords = np.concatenate([np.zeros((vox.shape[0], 1), dtype=np.int64), vox], axis=1)
-    rows = t.lookup(coords)
-    out = np.zeros(t.num_voxels, dtype=np.int64)
-    for r in range(t.num_voxels):
-        votes = point_labels[rows == r]
-        if votes.size:
-            out[r] = np.argmax(np.bincount(votes, minlength=num_classes))
-    return out
+    return majority_vote(t.lookup(coords), point_labels, t.num_voxels, num_classes)
+
+
+def majority_vote(rows: np.ndarray, labels: np.ndarray, num_rows: int,
+                  num_classes: int) -> np.ndarray:
+    """Most frequent label per row, from one vote ``labels[i]`` for ``rows[i]``.
+
+    Ties go to the smallest label id; a row without votes gets 0.  Votes for
+    a negative row are ignored.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    keep = rows >= 0
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ConfigError(f"labels must lie in [0, {num_classes})")
+    counts = np.bincount(rows[keep] * num_classes + labels[keep],
+                         minlength=num_rows * num_classes)
+    return counts.reshape(num_rows, num_classes).argmax(axis=1)

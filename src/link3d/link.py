@@ -3,7 +3,7 @@
 Instead of storing a dense kernel tensor, each voxel gets a cos/sin weight
 pair from a small linear map over its integer coordinates.  Voxels push their
 weighted features into one proxy per block (an s^3 cube of the grid), blocks
-gather the proxies of their r^3 neighborhood, and each voxel pulls its output
+sum the proxies of their r^3 neighborhood, and each voxel pulls its output
 from its own block's gathered sums.  The cos/sin product identity
 
     cos(a - b) = cos(a) cos(b) + sin(a) sin(b)
@@ -11,6 +11,12 @@ from its own block's gathered sums.  The cos/sin product identity
 makes the pulled result equal a direct pairwise aggregation with an
 offset-dependent kernel, while the per-voxel work stays one push plus one
 pull no matter how large the (r * s)^3 receptive cube grows.
+
+The neighborhood sum is separable: it runs as three 1-D box sums over the
+occupied block set, along x, then y, then z, each one r shifted-key probes.
+Overlapping windows share their partial sums this way, so the block-level
+work grows with r rather than r^3.  The backward pass runs the same passes
+transposed.
 
 ``link_oracle`` is the quadratic-cost pairwise form of the same operator and
 serves as the correctness reference for ``link_forward``.
@@ -28,11 +34,11 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import COORD_BOUND, SparseTensor, _pack_keys_unchecked, pack_keys
+from .core import KEY_FIELD, KEY_XYZ_SHIFTS, SparseTensor, pack_keys
 from .errors import ConfigError, DimensionError
 
 ORACLE_CHUNK_ELEMS = 1 << 22  # cap on pairwise work-array size per slice
@@ -120,21 +126,27 @@ def _tile_groups(gen_vals: np.ndarray, groups: int) -> np.ndarray:
 
 
 def _kernel_parts(gen: KernelGenerator, coords_xyz: np.ndarray, dtype):
-    """Phase and generated-width cos/sin values, before group tiling."""
-    x = np.asarray(coords_xyz, dtype=dtype)
+    """Phase and generated-width cos/sin values, before group tiling.
+
+    A pure-mode phase narrower than float64 is formed in float64 and reduced
+    to [-pi, pi] before rounding: at coordinates in the thousands a float32
+    product carries an absolute error of about 1e-4, which cos/sin would pass
+    straight on to the kernel.
+    """
+    x = np.asarray(coords_xyz)
     if x.ndim != 2 or x.shape[1] != 3:
         raise DimensionError(f"coords must be (N, 3), got shape {x.shape}")
-    w = gen.weight.astype(dtype, copy=False)
-    phase = x @ w.T                                   # (N, C/g)
     if gen.mode == "pure":
-        k_cos = np.cos(phase)
-        k_sin = np.sin(phase)
-    else:
-        freq = gen.frequency.astype(dtype, copy=False)
-        scaled = freq * phase
-        k_cos = np.cos(scaled) + phase
-        k_sin = np.sin(scaled) + phase
-    return phase, k_cos, k_sin
+        phase = x.astype(np.float64) @ gen.weight.T     # (N, C/g)
+        if np.dtype(dtype) != np.float64:
+            turns = np.rint(phase / (2 * np.pi))
+            phase = (phase - 2 * np.pi * turns).astype(dtype)
+        return phase, np.cos(phase), np.sin(phase)
+    x = x.astype(dtype)
+    phase = x @ gen.weight.astype(dtype, copy=False).T
+    freq = gen.frequency.astype(dtype, copy=False)
+    scaled = freq * phase
+    return phase, np.cos(scaled) + phase, np.sin(scaled) + phase
 
 
 def generate_kernel(gen: KernelGenerator, coords_xyz, dtype=np.float64):
@@ -229,13 +241,22 @@ def partition_blocks(t: SparseTensor, block_size: int) -> BlockPartition:
     )
 
 
-def neighbor_offsets(neighbor_range: int) -> np.ndarray:
-    """Block-offset cube of edge r: centered for odd r, floor-centered for even."""
+def neighbor_window(neighbor_range: int) -> Tuple[int, int]:
+    """Per-axis block offsets [lo, hi] of the neighborhood, lo = -(r // 2).
+
+    The window is centered for odd r and floor-centered for even r.
+    """
     r = neighbor_range
     if r < 1:
         raise ConfigError(f"neighbor range must be >= 1, got {r}")
-    lo = -(r // 2)  # floor-centered for even r, symmetric for odd r
-    axis = np.arange(lo, lo + r, dtype=np.int64)
+    lo = -(r // 2)
+    return lo, lo + r - 1
+
+
+def neighbor_offsets(neighbor_range: int) -> np.ndarray:
+    """Block-offset cube of edge r, the window of :func:`neighbor_window` per axis."""
+    lo, hi = neighbor_window(neighbor_range)
+    axis = np.arange(lo, hi + 1, dtype=np.int64)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     return grid.reshape(-1, 3)
 
@@ -276,7 +297,86 @@ def push_proxies(
     return ProxySet(proxy_cos, proxy_sin, part.populations)
 
 
-GATHER_CHUNK_ROWS = 1 << 21  # cap on the (offset x block) probe batch
+class GatherSets(NamedTuple):
+    """Sorted block key sets the gather's intermediate passes are evaluated
+    at; ``link_backward`` runs the transposed passes on them."""
+
+    along_zy: np.ndarray   # occupied blocks dilated along z, then along y
+    along_z: np.ndarray    # occupied blocks dilated along z
+    proxy_reads: int       # proxy rows the first (x) pass read
+
+
+def _probe(dst_keys: np.ndarray, src_keys: np.ndarray, offset):
+    """Rows of ``dst_keys`` whose key moved by the block ``offset`` (x, y, z)
+    is in the sorted ``src_keys``; returns (dst rows, src rows).
+
+    A move that leaves the packable box is a miss, since its key would carry
+    into the neighbouring field.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    if src_keys.shape[0] == 0:
+        return empty, empty
+    inside = np.ones(dst_keys.shape[0], dtype=bool)
+    delta = 0
+    for shift, d in zip(KEY_XYZ_SHIFTS, offset):
+        if d:
+            field_val = (dst_keys >> shift) & (KEY_FIELD - 1)
+            inside &= (field_val >= -d) & (field_val < KEY_FIELD - d)
+            delta += int(d) << shift
+    probe = dst_keys + delta
+    pos = np.searchsorted(src_keys, probe)
+    np.minimum(pos, src_keys.shape[0] - 1, out=pos)
+    rows = np.flatnonzero(inside & (src_keys[pos] == probe))
+    return rows, pos[rows]
+
+
+def _dilate(keys: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
+    """Sorted union of ``keys`` moved by lo..hi along ``axis``, keeping only
+    moves that stay inside the packable box."""
+    shift = KEY_XYZ_SHIFTS[axis]
+    field_val = (keys >> shift) & (KEY_FIELD - 1)
+    moved = [
+        keys[(field_val >= -d) & (field_val < KEY_FIELD - d)] + (d << shift)
+        for d in range(lo, hi + 1)
+    ]
+    return np.unique(np.concatenate(moved))
+
+
+def _box_pass(dst_keys, src_keys, src_vals, axis: int, lo: int, hi: int):
+    """1-D box sum: row i sums ``src_vals`` at dst_keys[i] + lo..hi along ``axis``.
+
+    Offsets are added in ascending order.  Returns the sums and the number of
+    source rows read.
+    """
+    out = np.zeros((dst_keys.shape[0], src_vals.shape[1]), dtype=src_vals.dtype)
+    offset = [0, 0, 0]
+    reads = 0
+    for d in range(lo, hi + 1):
+        offset[axis] = d
+        rows, src = _probe(dst_keys, src_keys, offset)
+        out[rows] += src_vals[src]
+        reads += rows.shape[0]
+    return out, reads
+
+
+def _box_sum(values, keys, along_zy, along_z, lo: int, hi: int, adjoint=False):
+    """Sum of per-block ``values`` over each block's [lo, hi]^3 window.
+
+    Three 1-D passes: x onto ``along_zy``, y onto ``along_z``, z onto the
+    blocks' own ``keys``.  With ``adjoint`` the passes run transposed, z then
+    y then x over the reflected window [-hi, -lo], which computes the
+    transpose of the forward sum exactly.  Returns the sums and the number of
+    rows the first pass read.
+    """
+    passes = [(along_zy, keys, 0), (along_z, along_zy, 1), (keys, along_z, 2)]
+    if adjoint:
+        passes = [(src, dst, axis) for dst, src, axis in reversed(passes)]
+        lo, hi = -hi, -lo
+    reads = []
+    for dst, src, axis in passes:
+        values, n = _box_pass(dst, src, values, axis, lo, hi)
+        reads.append(n)
+    return values, reads[0]
 
 
 def _gather(
@@ -285,68 +385,34 @@ def _gather(
     neighbor_range: int,
     drop_offset: Optional[Tuple[int, int, int]] = None,
 ):
-    """Sum neighbor-block proxies; also returns the (dst, src) pair arrays.
+    """Sum neighbor-block proxies and populations; returns (g_cos, g_sin,
+    count, sets) with the :class:`GatherSets` that ``link_backward`` needs.
 
-    All r^3 offsets are probed in large batches so the index work stays a
-    small constant factor over one pass regardless of the neighbor range.
-    Pairs are produced in offset-major order, which fixes the summation
-    order.
+    cos, sin and population run through one separable box sum side by side.
+    The populations are integers, so their float sums, and the counts, are
+    exact while a neighborhood holds fewer than 2^24 voxels.  ``drop_offset``
+    leaves out one block offset of the window (the sum without it); an offset
+    outside the window changes nothing.
     """
-    m = part.num_blocks
-    g_cos = np.zeros_like(proxies.proxy_cos)
-    g_sin = np.zeros_like(proxies.proxy_sin)
-    count = np.zeros(m, dtype=np.int64)
-    empty = np.zeros(0, dtype=np.int64)
-    if m == 0:
-        return g_cos, g_sin, count, (empty, empty)
-    offsets = neighbor_offsets(neighbor_range)
-    if drop_offset is not None:
-        offsets = offsets[
-            ~(offsets == np.asarray(drop_offset, dtype=np.int64)).all(axis=1)
-        ]
-    k = offsets.shape[0]
-    # when the whole scene sits safely inside the packable box, per-probe
-    # bounds masks are unnecessary
-    span = int(np.abs(offsets).max()) if k else 0
-    xyz = part.block_coords[:, 1:]
-    interior = m == 0 or (
-        int(xyz.min()) - span >= -COORD_BOUND
-        and int(xyz.max()) + span < COORD_BOUND
+    lo, hi = neighbor_window(neighbor_range)
+    keys = part.block_keys
+    along_z = _dilate(keys, 2, lo, hi)
+    along_zy = _dilate(along_z, 1, lo, hi)
+    c = proxies.proxy_cos.shape[1]
+    stacked = np.concatenate(
+        [
+            proxies.proxy_cos,
+            proxies.proxy_sin,
+            part.populations[:, None].astype(proxies.proxy_cos.dtype),
+        ],
+        axis=1,
     )
-    # block-major probe layout keeps dst sorted by construction
-    step = max(1, GATHER_CHUNK_ROWS // max(k, 1))
-    dst_parts: List[np.ndarray] = []
-    src_parts: List[np.ndarray] = []
-    for lo in range(0, m, step):
-        blocks = part.block_coords[lo : lo + step]
-        nb = np.repeat(blocks[:, None, :], k, axis=1)
-        nb[:, :, 1:] += offsets[None, :, :]
-        flat = nb.reshape(-1, 4)
-        dst_all = np.repeat(np.arange(lo, lo + blocks.shape[0], dtype=np.int64), k)
-        if interior:
-            keys = _pack_keys_unchecked(flat)
-        else:
-            ok = (
-                (flat[:, 1:] >= -COORD_BOUND) & (flat[:, 1:] < COORD_BOUND)
-            ).all(axis=1)
-            flat = flat[ok]
-            dst_all = dst_all[ok]
-            keys = _pack_keys_unchecked(flat)
-        pos = np.searchsorted(part.block_keys, keys)
-        pos_c = np.minimum(pos, m - 1)
-        hit = part.block_keys[pos_c] == keys
-        dst_parts.append(dst_all[hit])
-        src_parts.append(pos_c[hit])
-    dst = np.concatenate(dst_parts) if dst_parts else empty
-    src = np.concatenate(src_parts) if src_parts else empty
-    if dst.shape[0]:
-        # contiguous runs per dst block, summed in offset order
-        starts = np.r_[0, np.flatnonzero(np.diff(dst)) + 1]
-        uniq_dst = dst[starts]
-        g_cos[uniq_dst] = np.add.reduceat(proxies.proxy_cos[src], starts, axis=0)
-        g_sin[uniq_dst] = np.add.reduceat(proxies.proxy_sin[src], starts, axis=0)
-        count[uniq_dst] = np.add.reduceat(part.populations[src], starts)
-    return g_cos, g_sin, count, (dst, src)
+    sums, reads = _box_sum(stacked, keys, along_zy, along_z, lo, hi)
+    if drop_offset is not None and all(lo <= d <= hi for d in drop_offset):
+        rows, src = _probe(keys, keys, drop_offset)
+        sums[rows] -= stacked[src]
+    count = np.rint(sums[:, 2 * c]).astype(np.int64)
+    return sums[:, :c], sums[:, c : 2 * c], count, GatherSets(along_zy, along_z, reads)
 
 
 def gather_neighborhood(
@@ -432,7 +498,7 @@ class LinKState:
     k_cos: np.ndarray
     k_sin: np.ndarray
     proxies: ProxySet
-    gather_pairs: Tuple[np.ndarray, np.ndarray]  # (dst blocks, src blocks)
+    gather_sets: GatherSets
     normalize: bool
     counters: OpCounters = field(default_factory=OpCounters)
 
@@ -460,10 +526,12 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
     """Push -> gather -> pull composition of the block-proxy operator.
 
     Per-voxel cost does not depend on the kernel extent: each voxel
-    contributes one push and one pull, and gathering touches at most r^3
-    proxies per block.
+    contributes one push and one pull.  Gathering is three 1-D box sums over
+    the occupied blocks, dilated along the axes still to be summed, so its
+    work grows with r, not r^3.
 
-    Precision: pure mode computes in the feature dtype.  Augmented mode
+    Precision: pure mode computes in the feature dtype, after forming a
+    narrower kernel phase in float64 (see ``_kernel_parts``).  Augmented mode
     computes the kernels and accumulates push, gather and pull in float64,
     then rounds the output once to the feature dtype; the saved state stays
     in float64.
@@ -480,7 +548,7 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
     k_sin = _tile_groups(ks_g, cfg.generator.groups)
     part = partition_blocks(t, cfg.block_size)
     proxies = push_proxies(part, t.features.astype(work, copy=False), k_cos, k_sin)
-    g_cos, g_sin, count, pairs = _gather(part, proxies, cfg.neighbor_range)
+    g_cos, g_sin, count, sets = _gather(part, proxies, cfg.neighbor_range)
     gathered = ProxySet(
         proxies.proxy_cos, proxies.proxy_sin, proxies.populations,
         g_cos, g_sin, count,
@@ -493,7 +561,7 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
     counters = OpCounters(
         push_macs=2 * n,
         pull_macs=2 * n,
-        gather_proxy_reads=int(pairs[0].shape[0]),
+        gather_proxy_reads=sets.proxy_reads,
         generator_evals=n,
     )
     state = LinKState(
@@ -503,7 +571,7 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
         k_cos=k_cos,
         k_sin=k_sin,
         proxies=gathered,
-        gather_pairs=pairs,
+        gather_sets=sets,
         normalize=cfg.normalize,
         counters=counters,
     )
@@ -535,22 +603,23 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
     if state.normalize:
         g = grad_out / prox.neighborhood_count[b][:, None].astype(dtype)
 
-    # pull: out = gathered_cos[b] * k_cos + gathered_sin[b] * k_sin
+    # pull: out = gathered_cos[b] * k_cos + gathered_sin[b] * k_sin; its
+    # adjoint in the gathered sums is push's per-block segment sum
     dk_cos = g * prox.gathered_cos[b]
     dk_sin = g * prox.gathered_sin[b]
-    dg_cos = np.zeros_like(prox.gathered_cos)
-    dg_sin = np.zeros_like(prox.gathered_sin)
-    np.add.at(dg_cos, b, g * state.k_cos)
-    np.add.at(dg_sin, b, g * state.k_sin)
+    dg = push_proxies(part, g, state.k_cos, state.k_sin)
 
-    # gather: reverse the saved (dst, src) pairs; src repeats across offsets
-    dproxy_cos = np.zeros_like(prox.proxy_cos)
-    dproxy_sin = np.zeros_like(prox.proxy_sin)
-    dst, src = state.gather_pairs
-    np.add.at(dproxy_cos, src, dg_cos[dst])
-    np.add.at(dproxy_sin, src, dg_sin[dst])
+    # gather: the transposed box sum over the saved key sets
+    c = g.shape[1]
+    lo, hi = neighbor_window(cfg.neighbor_range)
+    sets = state.gather_sets
+    dproxy, _ = _box_sum(
+        np.concatenate([dg.proxy_cos, dg.proxy_sin], axis=1),
+        part.block_keys, sets.along_zy, sets.along_z, lo, hi, adjoint=True,
+    )
+    dproxy_cos, dproxy_sin = dproxy[:, :c], dproxy[:, c:]
 
-    # push: proxy = sum over members of k * f
+    # push: proxy = sum over members of k * f; its adjoint is a pull
     grad_features = dproxy_cos[b] * state.k_cos + dproxy_sin[b] * state.k_sin
     dk_cos += dproxy_cos[b] * features
     dk_sin += dproxy_sin[b] * features

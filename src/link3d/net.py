@@ -25,6 +25,7 @@ from .conv import (
     sparse_conv_forward,
 )
 from .core import SparseTensor, pack_keys
+from .data import majority_vote
 from .errors import ConfigError, DimensionError, DivergenceError
 from .layers import (
     LayerNormParams,
@@ -568,12 +569,7 @@ def downsample_labels(coords: np.ndarray, labels: np.ndarray,
     out_keys = pack_keys(out_coords)
     order = np.argsort(out_keys, kind="stable")
     pos = np.searchsorted(out_keys[order], pack_keys(fl))
-    rows = order[pos]
-    out = np.zeros(out_coords.shape[0], dtype=np.int64)
-    for r in range(out_coords.shape[0]):
-        votes = labels[rows == r]
-        out[r] = np.argmax(np.bincount(votes, minlength=num_classes))
-    return out
+    return majority_vote(order[pos], labels, out_coords.shape[0], num_classes)
 
 
 def toy_train(scenes: Sequence[SparseTensor], labels: Sequence[np.ndarray],

@@ -144,3 +144,14 @@ def neighborhood_rows(coords, block_size, r):
                     rows.extend(blocks.get(nb, []))
         support.append(sorted(rows))
     return support
+
+
+def loop_majority(rows, labels, num_rows, num_classes):
+    """Per-row majority label by an explicit loop; ties to the smallest id,
+    rows without votes 0."""
+    out = np.zeros(num_rows, dtype=np.int64)
+    for r in range(num_rows):
+        votes = labels[rows == r]
+        if votes.size:
+            out[r] = np.argmax(np.bincount(votes, minlength=num_classes))
+    return out

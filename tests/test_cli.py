@@ -239,3 +239,23 @@ class TestInputAndExitCodes:
 
     def test_unreadable_config_exits_3(self, tmp_path):
         assert run(["verify", "--config", f"{tmp_path}/absent.cfg"]) == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "voxel_size=nan",
+            "voxel_size=inf",
+            "voxel_size=0",
+            "voxel_size=-0.05",
+            "extent=nan",
+            "extent=inf",
+            "extent=0",
+            "extent=-1",
+        ],
+    )
+    def test_bad_size_exits_2_with_one_line(self, setting, capsys):
+        key = setting.partition("=")[0]
+        assert run(["bench", "--set", setting]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert key in err

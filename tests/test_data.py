@@ -6,10 +6,12 @@ from link3d.data import (
     gen_labeled_scene,
     gen_synthetic_scene,
     load_lidar_bin,
+    majority_vote,
     save_lidar_bin,
     voxel_majority_labels,
 )
 from link3d.core import voxelize
+from oracles import loop_majority
 
 
 class TestLidarBin:
@@ -102,3 +104,30 @@ class TestVoxelLabels:
         by_coord = {tuple(c): l for c, l in zip(t.coords, labels)}
         assert by_coord[(0, 0, 0, 0)] == 1
         assert by_coord[(0, 6, 6, 6)] == 3
+
+    def test_matches_loop_with_ties(self):
+        # few points per coarse voxel and three classes make ties common
+        rng = np.random.default_rng(7)
+        cloud = PointCloud(rng.uniform(0, 0.4, (600, 3)), np.ones((600, 1)))
+        labels = rng.integers(0, 3, size=600)
+        t = voxelize(cloud, 0.1)
+        vox = np.floor(cloud.points / 0.1).astype(np.int64)
+        rows = t.lookup(np.concatenate([np.zeros((600, 1), np.int64), vox], 1))
+        counts = np.zeros((t.num_voxels, 3), dtype=np.int64)
+        np.add.at(counts, (rows, labels), 1)
+        top = counts.max(axis=1, keepdims=True)
+        assert ((counts == top).sum(axis=1) > 1).any()
+        got = voxel_majority_labels(cloud, labels, 0.1, t, 3)
+        np.testing.assert_array_equal(got, loop_majority(rows, labels, t.num_voxels, 3))
+
+    def test_vote_skips_missing_rows_and_empty_rows(self):
+        rows = np.array([-1, 2, 2, 0, -1, 2])
+        labels = np.array([3, 1, 2, 2, 3, 2])
+        np.testing.assert_array_equal(majority_vote(rows, labels, 4, 4), [2, 0, 2, 0])
+        np.testing.assert_array_equal(
+            majority_vote(rows, labels, 4, 4), loop_majority(rows, labels, 4, 4)
+        )
+
+    def test_vote_rejects_out_of_range_label(self):
+        with pytest.raises(ConfigError):
+            majority_vote(np.array([0, 1]), np.array([0, 4]), 2, 4)

@@ -11,6 +11,7 @@ from link3d import (
     count_generator_params,
     gather_neighborhood,
     generate_kernel,
+    link,
     link_backward,
     link_forward,
     link_oracle,
@@ -21,7 +22,7 @@ from link3d import (
     push_proxies,
 )
 from conftest import make_scene
-from oracles import block_regroup, fd_grad, neighborhood_rows, rel_err
+from oracles import block_regroup, fd_grad, neighbor_window, neighborhood_rows, rel_err
 
 
 def make_generator(rng, channels, groups=1, mode="pure", s=3, r=2):
@@ -256,6 +257,119 @@ class TestPushGatherPull:
             pull(t, part, proxies, k_cos, k_sin)
 
 
+def corner_scene(rng, channels):
+    """Two batches at the packable box's corners, s=1 block coordinates.
+
+    Batch 0 reaches x = y = z = 2^15 - 1, so an unmasked x, y or z move past
+    it would carry into the next field up, landing on batch 1's blocks at
+    -2^15 or on batch 0's own neighbouring rows.
+    """
+    top = 2 ** 15 - 1
+    bottom = -(2 ** 15)
+    pts = [(0, top, top, top), (0, top, top, top - 1), (0, top - 1, top, top),
+           (0, top, bottom, top), (0, top, top, bottom), (1, bottom, top, top),
+           (1, bottom, bottom, bottom), (1, bottom + 1, bottom, bottom),
+           (1, bottom, top, bottom)]
+    near = make_scene(rng, 60, 6, 1).coords
+    near[:, 1:] += top - 2
+    coords = np.unique(np.concatenate([np.array(pts), near]), axis=0)
+    return SparseTensor(coords, rng.normal(size=(coords.shape[0], channels)))
+
+
+def block_window_sums(part, values, r):
+    """Per-block sums of ``values`` over the r-window, by dict enumeration."""
+    index = {tuple(int(v) for v in bc): i for i, bc in enumerate(part.block_coords)}
+    out = np.zeros_like(values)
+    for i, (b, x, y, z) in enumerate(part.block_coords):
+        for dx in neighbor_window(r):
+            for dy in neighbor_window(r):
+                for dz in neighbor_window(r):
+                    j = index.get((int(b), int(x) + dx, int(y) + dy, int(z) + dz))
+                    if j is not None:
+                        out[i] += values[j]
+    return out
+
+
+def pushed(t, s, rng):
+    part = partition_blocks(t, s)
+    k_cos, k_sin = generate_kernel(make_generator(rng, t.num_channels), anchored_xyz(t))
+    return part, push_proxies(part, t.features, k_cos, k_sin)
+
+
+class TestSeparableGather:
+    @pytest.mark.parametrize("s", [1, 2, 3, 7])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_matches_block_enumeration(self, s, r):
+        rng = np.random.default_rng(10 * s + r)
+        t = make_scene(rng, 500, 4 * s + 6, 2, batches=2)
+        part, proxies = pushed(t, s, rng)
+        gathered = gather_neighborhood(part, proxies, r)
+        np.testing.assert_allclose(
+            gathered.gathered_cos, block_window_sums(part, proxies.proxy_cos, r),
+            rtol=0, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            gathered.gathered_sin, block_window_sums(part, proxies.proxy_sin, r),
+            rtol=0, atol=1e-12,
+        )
+        np.testing.assert_array_equal(
+            gathered.neighborhood_count, block_window_sums(part, part.populations, r)
+        )
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_corner_of_packable_box(self, r, rng):
+        t = corner_scene(rng, 2)
+        part, proxies = pushed(t, 1, rng)
+        gathered = gather_neighborhood(part, proxies, r)
+        np.testing.assert_allclose(
+            gathered.gathered_cos, block_window_sums(part, proxies.proxy_cos, r),
+            rtol=0, atol=1e-12,
+        )
+        np.testing.assert_array_equal(
+            gathered.neighborhood_count, block_window_sums(part, part.populations, r)
+        )
+
+    @pytest.mark.parametrize("s,r,corner", [(1, 2, True), (3, 3, False),
+                                            (2, 4, False), (3, 5, False)])
+    def test_adjoint_identity(self, s, r, corner, rng):
+        t = corner_scene(rng, 1) if corner else make_scene(rng, 600, 24, 1, batches=2)
+        part, proxies = pushed(t, s, rng)
+        _, _, _, sets = link._gather(part, proxies, r)
+        lo, hi = link.neighbor_window(r)
+        p = rng.normal(size=(part.num_blocks, 3))
+        d = rng.normal(size=(part.num_blocks, 3))
+        box, _ = link._box_sum(p, part.block_keys, sets.along_zy, sets.along_z, lo, hi)
+        box_t, _ = link._box_sum(
+            d, part.block_keys, sets.along_zy, sets.along_z, lo, hi, adjoint=True
+        )
+        lhs = float((box * d).sum())
+        rhs = float((p * box_t).sum())
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+        np.testing.assert_allclose(box, block_window_sums(part, p, r), rtol=0, atol=1e-12)
+
+    def test_dropped_offset_is_left_out(self, rng):
+        t = make_scene(rng, 400, 14, 2)
+        part, proxies = pushed(t, 3, rng)
+        full = gather_neighborhood(part, proxies, 3)
+        dropped = gather_neighborhood(part, proxies, 3, drop_offset=(0, 0, 1))
+        outside = gather_neighborhood(part, proxies, 3, drop_offset=(0, 0, 2))
+        index = {tuple(bc): i for i, bc in enumerate(part.block_coords.tolist())}
+        lost = np.zeros_like(full.gathered_cos)
+        lost_count = np.zeros_like(full.neighborhood_count)
+        for i, (b, x, y, z) in enumerate(part.block_coords.tolist()):
+            j = index.get((b, x, y, z + 1))
+            if j is not None:
+                lost[i] = proxies.proxy_cos[j]
+                lost_count[i] = part.populations[j]
+        np.testing.assert_allclose(dropped.gathered_cos, full.gathered_cos - lost,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(
+            dropped.neighborhood_count, full.neighborhood_count - lost_count
+        )
+        assert lost_count.any()
+        np.testing.assert_array_equal(outside.gathered_cos, full.gathered_cos)
+
+
 class TestForwardOracleEquivalence:
     @pytest.mark.parametrize("mode", ["pure", "augmented"])
     @pytest.mark.parametrize("s,r", [(1, 1), (3, 2), (7, 3), (2, 2)])
@@ -278,6 +392,27 @@ class TestForwardOracleEquivalence:
         b = link_oracle(t, cfg)
         assert a.features.dtype == np.float32
         assert np.abs(a.features - b.features).max() <= 1e-5
+
+    def test_float32_pure_wide_scene(self, rng):
+        # clusters spread over ~2,400 voxels put anchored coordinates, and so
+        # the phases, in the thousands; the reference sums cos(W(p - q)) f_q
+        # in float64 from the small integer differences p - q
+        centers = rng.integers(0, 2400, size=(12, 3))
+        centers[0] = 0
+        pts = centers[:, None, :] + rng.integers(0, 8, size=(12, 40, 3))
+        coords = np.unique(pts.reshape(-1, 3), axis=0)
+        coords = np.concatenate([np.zeros((coords.shape[0], 1), np.int64), coords], 1)
+        feats = rng.normal(size=(coords.shape[0], 16)).astype(np.float32)
+        t = SparseTensor(coords, feats)
+        assert anchored_xyz(t).max() > 2000
+        cfg = LinKConfig(3, 2, make_generator(rng, 16, 1, "pure", 3, 2))
+        out = link_forward(t, cfg)
+        ref = np.zeros(feats.shape)
+        for v, rows in enumerate(neighborhood_rows(coords, 3, 2)):
+            diff = (coords[v, 1:] - coords[rows, 1:]).astype(np.float64)
+            ref[v] = (np.cos(diff @ cfg.generator.weight.T) * feats[rows]).mean(axis=0)
+        assert out.features.dtype == np.float32
+        assert np.abs(out.features - ref).max() <= 1e-5
 
     @pytest.mark.parametrize("s,r,channels", [(1, 2, 4), (3, 2, 8), (7, 3, 32)])
     def test_float32_augmented_rounds_once(self, s, r, channels):
@@ -384,6 +519,21 @@ class TestCounters:
             m = state.partition.num_blocks
             assert state.counters.gather_proxy_reads <= r ** 3 * m
 
+    def test_gather_reads_grow_slower_than_r_cubed(self, rng):
+        # a fully occupied 21^3 cube is 7^3 blocks at s=3; enumerating block
+        # pairs would read ~71x as many proxies at r=5 as at r=1
+        axis = np.arange(21)
+        xyz = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        coords = np.concatenate([np.zeros((xyz.shape[0], 1), np.int64), xyz], 1)
+        t = SparseTensor(coords, rng.normal(size=(xyz.shape[0], 1)))
+        reads = {}
+        for r in (1, 5):
+            cfg = LinKConfig(3, r, make_generator(rng, 1, 1, "pure", 3, r))
+            _, state = link_forward(t, cfg, return_state=True)
+            reads[r] = state.counters.gather_proxy_reads
+        assert reads[1] == 7 ** 3
+        assert reads[5] / reads[1] <= 10
+
     def test_oracle_pair_count_monotone_in_range(self, rng):
         t = make_scene(rng, 500, 16, 2)
         counts = []
@@ -434,6 +584,32 @@ class TestBackward:
         gf1, _, _ = link_backward(g, t, cfg, state)
         gf2, _, _ = link_backward(2 * g, t, cfg, state)
         np.testing.assert_allclose(gf2, 2 * gf1, atol=1e-12)
+
+    def test_empty_scene(self, rng):
+        t = SparseTensor(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4)))
+        cfg = LinKConfig(3, 2, make_generator(rng, 4, 2))
+        _, state = link_forward(t, cfg, return_state=True)
+        gf, gw, gfr = link_backward(np.zeros((0, 4)), t, cfg, state)
+        assert gf.shape == (0, 4)
+        assert (gw == 0).all() and gw.shape == (2, 3)
+        assert (gfr == 0).all()
+
+    @pytest.mark.parametrize("mode", ["pure", "augmented"])
+    def test_single_voxel(self, mode, rng):
+        t = SparseTensor([(0, 4, -2, 7)], rng.normal(size=(1, 4)))
+        gen = make_generator(rng, 4, 2, mode, 3, 3)
+        cfg = LinKConfig(3, 3, gen)
+        probe = rng.normal(size=(1, 4))
+
+        def loss():
+            return float((link_forward(t, cfg).features * probe).sum())
+
+        _, state = link_forward(t, cfg, return_state=True)
+        gf, gw, gfr = link_backward(probe, t, cfg, state)
+        # pure mode: the output is the input, so grad_weight is zero
+        np.testing.assert_allclose(gf, fd_grad(loss, t.features), rtol=0, atol=1e-7)
+        np.testing.assert_allclose(gw, fd_grad(loss, gen.weight), rtol=0, atol=1e-7)
+        np.testing.assert_allclose(gfr, fd_grad(loss, gen.frequency), rtol=0, atol=1e-7)
 
     def test_missing_state(self, rng):
         t = make_scene(rng, 10, 6, 2)

@@ -16,7 +16,7 @@ from link3d import (
 )
 from link3d.net import EncoderConfig, LinKModule, SegModel, stage1_coords
 from conftest import make_scene
-from oracles import compare_sampled, fd_grad
+from oracles import compare_sampled, fd_grad, loop_majority
 
 
 def dense_slab(width, depth, channels=1, seed=0, dtype=np.float64):
@@ -285,6 +285,23 @@ class TestDownsampleLabels:
         assert out_coords.shape[0] == 1
         down = downsample_labels(coords, np.array([3, 1]), out_coords, 4)
         assert down[0] == 1
+
+
+    def test_matches_loop_with_ties(self, rng):
+        t = make_scene(rng, 400, 10, 1, batches=2)
+        labels = rng.integers(0, 3, size=t.num_voxels)
+        out_coords = stage1_coords(t)
+        down = downsample_labels(t.coords, labels, out_coords, 3)
+        by_coord = {tuple(c): i for i, c in enumerate(out_coords.tolist())}
+        fl = t.coords.copy()
+        fl[:, 1:] = np.floor_divide(fl[:, 1:], 2)
+        rows = np.array([by_coord[tuple(c)] for c in fl.tolist()])
+        counts = np.zeros((out_coords.shape[0], 3), dtype=np.int64)
+        np.add.at(counts, (rows, labels), 1)
+        assert ((counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        np.testing.assert_array_equal(
+            down, loop_majority(rows, labels, out_coords.shape[0], 3)
+        )
 
 
 class TestSegModel:
