@@ -1,7 +1,7 @@
 """Sparse 3D voxel library with a generated-kernel large-receptive-field operator.
 
 Modules:
-    core    - voxel coordinates, packing, coordinate index, voxelization
+    core    - voxel coordinates, packing, voxelization
     conv    - reference submanifold / strided sparse convolution
     link    - linear kernel generator and block-proxy push/gather/pull
     net     - encoder, ERF probing, toy training
@@ -12,21 +12,17 @@ Modules:
 from .conv import (
     ConvWeights,
     KernelMap,
-    ResidualBlockWeights,
     build_kernel_map,
     kernel_offsets,
-    residual_block,
     sparse_conv_backward,
     sparse_conv_forward,
 )
 from .core import (
     BATCH_BOUND,
     COORD_BOUND,
-    CoordIndex,
     PointCloud,
     SparseTensor,
     VoxelCoord,
-    build_index,
     empty_tensor,
     pack_key,
     pack_keys,
@@ -51,7 +47,6 @@ from .link import (
     anchored_xyz,
     count_dense_kernel_params,
     count_generator_params,
-    gather_neighborhood,
     generate_kernel,
     link_backward,
     link_forward,
@@ -69,10 +64,8 @@ from .net import (
     SegModel,
     build_encoder,
     downsample_labels,
-    encoder_forward,
     erf_map,
     erf_mass_radius,
-    link_module_forward,
     toy_train,
 )
 

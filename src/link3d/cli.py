@@ -27,7 +27,7 @@ from .data import (
     load_lidar_bin,
     voxel_majority_labels,
 )
-from .errors import ConfigError, DivergenceError, FileFormatError
+from .errors import BoundsError, ConfigError, DivergenceError, FileFormatError
 from .link import (
     KernelGenerator,
     LinKConfig,
@@ -64,7 +64,6 @@ class RunConfig:
     channels: int = 8
     voxel_size: float = 0.05
     precision: int = 32
-    deterministic: bool = True
     seed: int = 0
     n_points: int = 20_000
     extent: float = 2.0
@@ -156,6 +155,8 @@ def _validate(cfg: RunConfig) -> None:
         value = getattr(cfg, key)
         if not (np.isfinite(value) and value > 0):
             raise ConfigError(f"{key} must be finite and > 0, got {value}")
+    if not np.isfinite(cfg.lr):
+        raise ConfigError(f"lr must be finite, got {cfg.lr}")
     if cfg.precision not in (32, 64):
         raise ConfigError("precision must be 32 or 64")
     if cfg.n_points < 0:
@@ -232,7 +233,16 @@ def _scene_tensor(cfg: RunConfig) -> SparseTensor:
         cloud = load_lidar_bin(cfg.input)
     else:
         cloud = gen_synthetic_scene(cfg.seed, cfg.n_points, cfg.extent, cfg.profile)
-    return voxelize(cloud, cfg.voxel_size, dtype=cfg.dtype())
+    try:
+        return voxelize(cloud, cfg.voxel_size, dtype=cfg.dtype())
+    except BoundsError as exc:
+        if cfg.input:
+            raise FileFormatError(
+                f"{cfg.input}: at voxel_size={cfg.voxel_size}, {exc}"
+            ) from exc
+        raise ConfigError(
+            f"extent={cfg.extent} at voxel_size={cfg.voxel_size}: {exc}"
+        ) from exc
 
 
 def _encoder_config(cfg: RunConfig, in_channels: int) -> EncoderConfig:

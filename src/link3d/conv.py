@@ -17,9 +17,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import SparseTensor, pack_keys
+from .core import SparseTensor, coarsen
 from .errors import ConfigError, DimensionError
-from .layers import LayerNormParams, layer_norm_forward, relu
 
 
 def kernel_offsets(kernel_size: int, stride: int = 1) -> np.ndarray:
@@ -70,11 +69,8 @@ def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> Kern
         out_coords = t.coords
         query_base = t.coords
     else:
-        down = t.coords.copy()
-        down[:, 1:] = np.floor_divide(down[:, 1:], 2)
-        # np.unique returns indices in sorted key order, fixing output row order
-        _, first = np.unique(pack_keys(down), return_index=True)
-        out_coords = down[first]
+        # sorted key order fixes the output row order
+        out_coords = coarsen(t.coords, 2)[0]
         query_base = out_coords.copy()
         query_base[:, 1:] *= 2
     in_rows: List[np.ndarray] = []
@@ -193,43 +189,3 @@ def sparse_conv_backward(grad_out: np.ndarray, t: SparseTensor, w: ConvWeights, 
         grad_weights[o] = t.features[ir].T @ g
     grad_bias = grad_out.sum(axis=0) if w.bias is not None else None
     return grad_features, grad_weights, grad_bias
-
-
-@dataclass
-class ResidualBlockWeights:
-    """Two 3x3x3 submanifold convolutions with their norms."""
-
-    conv1: ConvWeights
-    conv2: ConvWeights
-    norm1: Optional[LayerNormParams] = None
-    norm2: Optional[LayerNormParams] = None
-
-    @classmethod
-    def random(cls, channels, rng, dtype=np.float64):
-        return cls(
-            conv1=ConvWeights.random(3, channels, channels, rng, dtype=dtype),
-            conv2=ConvWeights.random(3, channels, channels, rng, dtype=dtype),
-            norm1=LayerNormParams.identity(channels, dtype=dtype),
-            norm2=LayerNormParams.identity(channels, dtype=dtype),
-        )
-
-
-def residual_block(
-    t: SparseTensor, weights: ResidualBlockWeights, norm_enabled: bool = True
-) -> SparseTensor:
-    """y = ReLU(Norm(Conv3(ReLU(Norm(Conv3(x))))) + x), submanifold throughout."""
-    if weights.conv1.c_in != t.num_channels or weights.conv2.c_out != t.num_channels:
-        raise DimensionError("residual block requires C_in == C_out == input channels")
-    km = build_kernel_map(t, 3, 1)
-
-    def maybe_norm(x, params):
-        if not norm_enabled or params is None:
-            return x
-        y, _ = layer_norm_forward(x, params)
-        return y
-
-    h = sparse_conv_forward(t, weights.conv1, km).features
-    h = relu(maybe_norm(h, weights.norm1))
-    h = sparse_conv_forward(t.with_features(h), weights.conv2, km).features
-    h = maybe_norm(h, weights.norm2)
-    return t.with_features(relu(h + t.features))

@@ -1,4 +1,4 @@
-"""Voxel coordinate model, point-cloud voxelization, and the coordinate index.
+"""Voxel coordinate model and point-cloud voxelization.
 
 Coordinates are batched integer voxel positions ``(batch, x, y, z)``.  Each
 spatial component must lie in ``[-2**15, 2**15)`` so that the whole coordinate
@@ -10,7 +10,7 @@ roughly +-1638 m at a 0.05 m voxel size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,39 +90,19 @@ def unpack_key(key: int) -> VoxelCoord:
     )
 
 
-class CoordIndex:
-    """Exact map from voxel coordinate to row number.
+def coarsen(coords: np.ndarray, factor: int):
+    """Floor-divide the spatial components by ``factor`` and deduplicate.
 
-    Construction fails on duplicate coordinates; queries for absent
-    coordinates return ``None``.
+    Returns ``(coarse, keys, inverse, counts)``: the distinct coarse
+    coordinates in ascending packed-key order, their keys, the coarse row of
+    every input row, and the number of input rows per coarse row.
     """
-
-    def __init__(self, coords):
-        arr = _as_coord_array(coords)
-        keys = pack_keys(arr)
-        self._rows = {int(k): i for i, k in enumerate(keys)}
-        if len(self._rows) != len(keys):
-            raise DuplicateCoordError(
-                f"{len(keys) - len(self._rows)} duplicate coordinate(s)"
-            )
-
-    def get(self, coord) -> Optional[int]:
-        try:
-            key = pack_key(coord)
-        except BoundsError:
-            return None
-        return self._rows.get(key)
-
-    def __contains__(self, coord) -> bool:
-        return self.get(coord) is not None
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
-def build_index(coords) -> CoordIndex:
-    """Build the coordinate -> row index for a duplicate-free coordinate list."""
-    return CoordIndex(coords)
+    down = coords.copy()
+    down[:, 1:] = np.floor_divide(down[:, 1:], factor)
+    keys, first, inverse, counts = np.unique(
+        pack_keys(down), return_index=True, return_inverse=True, return_counts=True
+    )
+    return down[first], keys, inverse, counts
 
 
 class SparseTensor:
@@ -133,7 +113,7 @@ class SparseTensor:
     new tensors and never write into an input's arrays.
     """
 
-    __slots__ = ("coords", "features", "keys", "_order", "_sorted_keys", "_index")
+    __slots__ = ("coords", "features", "keys", "_order", "_sorted_keys")
 
     def __init__(self, coords, features):
         self.coords = _as_coord_array(coords)
@@ -150,7 +130,6 @@ class SparseTensor:
         self._sorted_keys = self.keys[self._order]
         if self.num_voxels > 1 and (np.diff(self._sorted_keys) == 0).any():
             raise DuplicateCoordError("duplicate voxel coordinates")
-        self._index = None
 
     @property
     def num_voxels(self) -> int:
@@ -163,12 +142,6 @@ class SparseTensor:
     @property
     def dtype(self) -> np.dtype:
         return self.features.dtype
-
-    @property
-    def index(self) -> CoordIndex:
-        if self._index is None:
-            self._index = CoordIndex(self.coords)
-        return self._index
 
     def lookup(self, coords) -> np.ndarray:
         """Vectorized coordinate -> row lookup; -1 where absent or out of bounds."""
@@ -206,7 +179,6 @@ class SparseTensor:
         out.keys = self.keys
         out._order = self._order
         out._sorted_keys = self._sorted_keys
-        out._index = self._index
         return out
 
     def __repr__(self) -> str:

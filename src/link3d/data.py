@@ -25,6 +25,12 @@ def load_lidar_bin(path) -> PointCloud:
     with open(path, "rb") as fh:
         raw = fh.read()
     arr = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).astype(np.float64)
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise FileFormatError(
+            f"{path}: {int(bad.sum())} record(s) hold NaN or Inf, "
+            f"the first at record {int(np.argmax(bad))}"
+        )
     return PointCloud(points=arr[:, :3], attributes=arr[:, 3:4])
 
 

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import KEY_FIELD, KEY_XYZ_SHIFTS, SparseTensor, pack_keys
+from .core import KEY_FIELD, KEY_XYZ_SHIFTS, SparseTensor, coarsen
 from .errors import ConfigError, DimensionError
 
 ORACLE_CHUNK_ELEMS = 1 << 22  # cap on pairwise work-array size per slice
@@ -222,18 +222,13 @@ def partition_blocks(t: SparseTensor, block_size: int) -> BlockPartition:
     """Group voxels into batch-local s^3 blocks via floor division."""
     if block_size < 1:
         raise ConfigError(f"block size must be >= 1, got {block_size}")
-    blocks = t.coords.copy()
-    blocks[:, 1:] = np.floor_divide(blocks[:, 1:], block_size)
-    keys = pack_keys(blocks)
-    uniq, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
+    blocks, keys, inverse, counts = coarsen(t.coords, block_size)
     row_order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[row_order], np.arange(uniq.shape[0]))
+    starts = np.searchsorted(inverse[row_order], np.arange(keys.shape[0]))
     return BlockPartition(
         block_size=block_size,
-        block_coords=blocks[first],
-        block_keys=uniq,
+        block_coords=blocks,
+        block_keys=keys,
         voxel_block=inverse,
         populations=counts,
         row_order=row_order,
@@ -263,20 +258,11 @@ def neighbor_offsets(neighbor_range: int) -> np.ndarray:
 
 @dataclass
 class ProxySet:
-    """Per-block aggregation state.
+    """Per-block push sums of member voxels' kernel-weighted features."""
 
-    ``proxy_cos`` / ``proxy_sin`` are the push sums of member voxels.  After
-    gathering, ``gathered_cos`` / ``gathered_sin`` hold the summed proxies of
-    the block's neighborhood and ``neighborhood_count`` the number of voxels
-    inside it.
-    """
-
-    proxy_cos: np.ndarray                       # (M, C)
-    proxy_sin: np.ndarray                       # (M, C)
-    populations: np.ndarray                     # (M,)
-    gathered_cos: Optional[np.ndarray] = None   # (M, C)
-    gathered_sin: Optional[np.ndarray] = None   # (M, C)
-    neighborhood_count: Optional[np.ndarray] = None  # (M,)
+    proxy_cos: np.ndarray       # (M, C)
+    proxy_sin: np.ndarray       # (M, C)
+    populations: np.ndarray     # (M,)
 
 
 def push_proxies(
@@ -415,43 +401,21 @@ def _gather(
     return sums[:, :c], sums[:, c : 2 * c], count, GatherSets(along_zy, along_z, reads)
 
 
-def gather_neighborhood(
-    part: BlockPartition,
-    proxies: ProxySet,
-    neighbor_range: int,
-    drop_offset: Optional[Tuple[int, int, int]] = None,
-) -> ProxySet:
-    """Fill the neighborhood sums and voxel counts of every block.
-
-    ``drop_offset`` is a fault-injection hook for the verifier's negative
-    control; production paths leave it None.
-    """
-    g_cos, g_sin, count, _ = _gather(part, proxies, neighbor_range, drop_offset)
-    return ProxySet(
-        proxy_cos=proxies.proxy_cos,
-        proxy_sin=proxies.proxy_sin,
-        populations=proxies.populations,
-        gathered_cos=g_cos,
-        gathered_sin=g_sin,
-        neighborhood_count=count,
-    )
-
-
 def pull(
     t: SparseTensor,
     part: BlockPartition,
-    proxies: ProxySet,
+    g_cos: np.ndarray,
+    g_sin: np.ndarray,
+    count: np.ndarray,
     k_cos: np.ndarray,
     k_sin: np.ndarray,
     normalize: bool = True,
 ) -> SparseTensor:
-    """Reconstruct per-voxel aggregates from the gathered block sums."""
-    if proxies.gathered_cos is None:
-        raise ConfigError("pull requires gathered proxies; run gather_neighborhood")
+    """Reconstruct per-voxel aggregates from the block sums ``_gather`` returns."""
     b = part.voxel_block
-    out = proxies.gathered_cos[b] * k_cos + proxies.gathered_sin[b] * k_sin
+    out = g_cos[b] * k_cos + g_sin[b] * k_sin
     if normalize:
-        out = out / proxies.neighborhood_count[b][:, None].astype(out.dtype)
+        out = out / count[b][:, None].astype(out.dtype)
     return t.with_features(out)
 
 
@@ -497,7 +461,9 @@ class LinKState:
     phase: np.ndarray
     k_cos: np.ndarray
     k_sin: np.ndarray
-    proxies: ProxySet
+    g_cos: np.ndarray           # gathered neighborhood sums, (M, C)
+    g_sin: np.ndarray
+    count: np.ndarray           # voxels per block neighborhood, (M,)
     gather_sets: GatherSets
     normalize: bool
     counters: OpCounters = field(default_factory=OpCounters)
@@ -549,11 +515,7 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
     part = partition_blocks(t, cfg.block_size)
     proxies = push_proxies(part, t.features.astype(work, copy=False), k_cos, k_sin)
     g_cos, g_sin, count, sets = _gather(part, proxies, cfg.neighbor_range)
-    gathered = ProxySet(
-        proxies.proxy_cos, proxies.proxy_sin, proxies.populations,
-        g_cos, g_sin, count,
-    )
-    pulled = pull(t, part, gathered, k_cos, k_sin, cfg.normalize)
+    pulled = pull(t, part, g_cos, g_sin, count, k_cos, k_sin, cfg.normalize)
     out = t.with_features(pulled.features.astype(t.dtype, copy=False))
     if not return_state:
         return out
@@ -570,7 +532,9 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
         phase=phase,
         k_cos=k_cos,
         k_sin=k_sin,
-        proxies=gathered,
+        g_cos=g_cos,
+        g_sin=g_sin,
+        count=count,
         gather_sets=sets,
         normalize=cfg.normalize,
         counters=counters,
@@ -594,19 +558,18 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
         )
     gen = cfg.generator
     part = state.partition
-    prox = state.proxies
     b = part.voxel_block
     dtype = _working_dtype(gen.mode, t.features.dtype)
     features = t.features.astype(dtype, copy=False)
 
     g = grad_out
     if state.normalize:
-        g = grad_out / prox.neighborhood_count[b][:, None].astype(dtype)
+        g = grad_out / state.count[b][:, None].astype(dtype)
 
-    # pull: out = gathered_cos[b] * k_cos + gathered_sin[b] * k_sin; its
-    # adjoint in the gathered sums is push's per-block segment sum
-    dk_cos = g * prox.gathered_cos[b]
-    dk_sin = g * prox.gathered_sin[b]
+    # pull: out = g_cos[b] * k_cos + g_sin[b] * k_sin; its adjoint in the
+    # gathered sums is push's per-block segment sum
+    dk_cos = g * state.g_cos[b]
+    dk_sin = g * state.g_sin[b]
     dg = push_proxies(part, g, state.k_cos, state.k_sin)
 
     # gather: the transposed box sum over the saved key sets
@@ -620,7 +583,10 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
     dproxy_cos, dproxy_sin = dproxy[:, :c], dproxy[:, c:]
 
     # push: proxy = sum over members of k * f; its adjoint is a pull
-    grad_features = dproxy_cos[b] * state.k_cos + dproxy_sin[b] * state.k_sin
+    grad_features = pull(
+        t, part, dproxy_cos, dproxy_sin, state.count, state.k_cos, state.k_sin,
+        normalize=False,
+    ).features
     dk_cos += dproxy_cos[b] * features
     dk_sin += dproxy_sin[b] * features
 

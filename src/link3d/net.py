@@ -24,7 +24,7 @@ from .conv import (
     sparse_conv_backward,
     sparse_conv_forward,
 )
-from .core import SparseTensor, pack_keys
+from .core import SparseTensor, coarsen
 from .data import majority_vote
 from .errors import ConfigError, DimensionError, DivergenceError
 from .layers import (
@@ -463,16 +463,6 @@ def build_encoder(cfg: EncoderConfig, seed: int = 0) -> Encoder:
     return Encoder(cfg, np.random.default_rng(seed))
 
 
-def link_module_forward(t: SparseTensor, module: LinKModule) -> SparseTensor:
-    """Functional wrapper over :class:`LinKModule`."""
-    return module.forward(t)
-
-
-def encoder_forward(t: SparseTensor, encoder: Encoder, n_stages: Optional[int] = None):
-    """Functional wrapper over :class:`Encoder`."""
-    return encoder.forward(t, n_stages)
-
-
 # ---------------------------------------------------------------------------
 # effective receptive field
 # ---------------------------------------------------------------------------
@@ -553,23 +543,15 @@ class SegModel(Module):
         return float(loss)
 
 
-def stage1_coords(t: SparseTensor) -> np.ndarray:
-    """Coordinates of the first downsampled stage (floor(coord / 2))."""
-    return build_kernel_map(t, 2, 2).out_coords
-
-
 def downsample_labels(coords: np.ndarray, labels: np.ndarray,
-                      out_coords: np.ndarray, num_classes: int) -> np.ndarray:
+                      num_classes: int) -> np.ndarray:
     """Majority vote of member-voxel labels per downsampled voxel.
 
-    Ties resolve to the smallest label id.
+    Votes come back in the row order of the first stage's coordinates,
+    ``coarsen(coords, 2)[0]``.  Ties resolve to the smallest label id.
     """
-    fl = coords.copy()
-    fl[:, 1:] = np.floor_divide(fl[:, 1:], 2)
-    out_keys = pack_keys(out_coords)
-    order = np.argsort(out_keys, kind="stable")
-    pos = np.searchsorted(out_keys[order], pack_keys(fl))
-    return majority_vote(order[pos], labels, out_coords.shape[0], num_classes)
+    coarse, _, inverse, _ = coarsen(coords, 2)
+    return majority_vote(inverse, labels, coarse.shape[0], num_classes)
 
 
 def toy_train(scenes: Sequence[SparseTensor], labels: Sequence[np.ndarray],
@@ -588,8 +570,7 @@ def toy_train(scenes: Sequence[SparseTensor], labels: Sequence[np.ndarray],
             raise ConfigError("labels out of range for num_classes")
     model = SegModel(cfg, num_classes, seed=seed)
     stage_labels = [
-        downsample_labels(s.coords, lab, stage1_coords(s), num_classes)
-        for s, lab in zip(scenes, labels)
+        downsample_labels(s.coords, lab, num_classes) for s, lab in zip(scenes, labels)
     ]
     trace: List[float] = []
     for step in range(steps):

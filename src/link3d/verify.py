@@ -18,8 +18,8 @@ from .core import SparseTensor
 from .link import (
     KernelGenerator,
     LinKConfig,
+    _gather,
     anchored_xyz,
-    gather_neighborhood,
     generate_kernel,
     link_backward,
     link_forward,
@@ -105,8 +105,8 @@ def suite_oracle_equivalence(seed, mode, groups, precision,
             part = partition_blocks(t, s)
             proxies = push_proxies(part, t.features, k_cos, k_sin)
             with np.errstate(divide="ignore", invalid="ignore"):
-                gathered = gather_neighborhood(part, proxies, r, drop_offset=(0, 0, 0))
-                out = pull(t, part, gathered, k_cos, k_sin, cfg.normalize)
+                g_cos, g_sin, count, _ = _gather(part, proxies, r, drop_offset=(0, 0, 0))
+                out = pull(t, part, g_cos, g_sin, count, k_cos, k_sin, cfg.normalize)
             diff = np.abs(out.features - reference.features)
             worst = max(worst, float(np.nan_to_num(diff, nan=np.inf).max()))
         else:

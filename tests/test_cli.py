@@ -251,6 +251,11 @@ class TestInputAndExitCodes:
             "extent=inf",
             "extent=0",
             "extent=-1",
+            "extent=1e4",
+            "lr=nan",
+            "lr=inf",
+            "lr=-inf",
+            "deterministic=true",
         ],
     )
     def test_bad_size_exits_2_with_one_line(self, setting, capsys):
@@ -259,3 +264,21 @@ class TestInputAndExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert key in err
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [(0.1, 0.2, 0.3, 0.5), (np.nan, 0.0, 0.0, 1.0), (0.3, 0.1, 0.2, 0.4)],
+            [(0.1, 0.2, 0.3, 0.5), (0.0, np.inf, 0.0, 1.0)],
+            [(0.1, 0.2, 0.3, np.nan), (0.3, 0.1, 0.2, 0.4)],
+            [(0.1, 0.2, 0.3, 0.5), (1e6, 0.0, 0.0, 1.0)],
+            [(0.1, 0.2, 0.3, 0.5), (0.0, 0.0, -2e3, 1.0)],
+        ],
+        ids=["nan-x", "inf-y", "nan-intensity", "far-x", "far-z"],
+    )
+    def test_bad_scan_contents_exit_3_with_one_line(self, records, tmp_path, capsys):
+        scan = tmp_path / "scan.bin"
+        scan.write_bytes(np.array(records, dtype="<f4").tobytes())
+        assert run(["erf", "--set", f"input={scan}"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {scan}: ")

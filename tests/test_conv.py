@@ -4,14 +4,13 @@ import pytest
 from link3d import (
     ConfigError,
     ConvWeights,
-    ResidualBlockWeights,
     SparseTensor,
     build_kernel_map,
     kernel_offsets,
-    residual_block,
     sparse_conv_backward,
     sparse_conv_forward,
 )
+from link3d.net import ResidualBlock
 from conftest import make_scene
 from oracles import dense_conv_oracle, fd_grad, rel_err
 
@@ -225,29 +224,30 @@ class TestBackward:
 class TestResidualBlock:
     def test_zero_weights_norm_off_is_relu(self, rng):
         t = make_scene(rng, 40, 6, 3)
-        weights = ResidualBlockWeights(
-            ConvWeights.zeros(3, 3, 3), ConvWeights.zeros(3, 3, 3)
-        )
-        out = residual_block(t, weights, norm_enabled=False)
+        block = ResidualBlock(3, rng, norm_enabled=False)
+        for _, arr in block.named_parameters():
+            arr[...] = 0.0
+        out = block.forward(t)
         np.testing.assert_array_equal(out.features, np.maximum(t.features, 0))
 
-    def test_single_voxel_identity_center(self):
+    def test_single_voxel_identity_center(self, rng):
         x = np.array([[1.5, -2.0, 0.5]])
         t = SparseTensor([(0, 0, 0, 0)], x)
-        weights = ResidualBlockWeights(
-            ConvWeights.identity_center(3, 3), ConvWeights.identity_center(3, 3)
-        )
-        out = residual_block(t, weights, norm_enabled=False)
+        block = ResidualBlock(3, rng, norm_enabled=False)
+        for conv in (block.conv1, block.conv2):
+            conv.conv.weights[...] = ConvWeights.identity_center(3, 3).weights
+            conv.conv.bias[...] = 0.0
+        out = block.forward(t)
         np.testing.assert_allclose(
             out.features, np.maximum(np.maximum(x, 0) + x, 0)
         )
 
     def test_coords_preserved(self, rng):
         t = make_scene(rng, 80, 8, 4)
-        out = residual_block(t, ResidualBlockWeights.random(4, rng))
+        out = ResidualBlock(4, rng).forward(t)
         assert out.coords is t.coords
 
     def test_channel_mismatch(self, rng):
         t = make_scene(rng, 20, 6, 3)
         with pytest.raises(ValueError):
-            residual_block(t, ResidualBlockWeights.random(5, rng))
+            ResidualBlock(5, rng).forward(t)

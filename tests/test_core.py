@@ -8,7 +8,6 @@ from link3d import (
     PointCloud,
     SparseTensor,
     VoxelCoord,
-    build_index,
     pack_key,
     pack_keys,
     unpack_key,
@@ -66,41 +65,44 @@ class TestPackKey:
 
 
 class TestCoordIndex:
+    """``SparseTensor.lookup``, the coordinate -> row index."""
+
     def test_empty(self):
-        idx = build_index(np.zeros((0, 4), dtype=np.int64))
-        assert len(idx) == 0
-        assert idx.get((0, 0, 0, 0)) is None
+        t = SparseTensor(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 1)))
+        assert t.num_voxels == 0
+        assert t.lookup([(0, 0, 0, 0)]).tolist() == [-1]
+        assert t.lookup(np.zeros((0, 4), dtype=np.int64)).shape == (0,)
 
     def test_single(self):
-        idx = build_index([(0, 0, 0, 0)])
-        assert idx.get((0, 0, 0, 0)) == 0
-        assert idx.get((0, 1, 0, 0)) is None
+        t = SparseTensor([(0, 0, 0, 0)], np.zeros((1, 1)))
+        probes = [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0),
+                  (0, 2 ** 15, 0, 0), (-1, 0, 0, 0)]
+        assert t.lookup(probes).tolist() == [0, -1, -1, -1, -1]
 
     def test_duplicate_raises(self):
         with pytest.raises(DuplicateCoordError):
-            build_index([(0, 1, 2, 3), (0, 1, 2, 3)])
+            SparseTensor([(0, 1, 2, 3), (0, 1, 2, 3)], np.zeros((2, 1)))
 
     def test_random_hits_and_misses(self, rng):
         coords = np.unique(
             rng.integers(-500, 500, size=(10_000, 4)) * [0, 1, 1, 1], axis=0
         )
-        idx = build_index(coords)
-        for i in rng.choice(coords.shape[0], 200, replace=False):
-            assert idx.get(coords[i]) == i
+        t = SparseTensor(coords, np.zeros((coords.shape[0], 1)))
+        hits = rng.choice(coords.shape[0], 200, replace=False)
+        assert t.lookup(coords[hits]).tolist() == hits.tolist()
         present = {tuple(c) for c in coords}
-        misses = 0
-        while misses < 200:
+        misses = []
+        while len(misses) < 200:
             c = tuple(rng.integers(-500, 500, size=4) * [0, 1, 1, 1])
-            if c in present:
-                continue
-            assert idx.get(c) is None
-            misses += 1
+            if c not in present:
+                misses.append(c)
+        assert (t.lookup(misses) == -1).all()
 
     def test_identity_permutation(self, rng):
         coords = np.unique(rng.integers(-40, 40, size=(500, 4)), axis=0)
         coords[:, 0] = np.abs(coords[:, 0])
-        idx = build_index(coords)
-        assert [idx.get(c) for c in coords] == list(range(coords.shape[0]))
+        t = SparseTensor(coords, np.zeros((coords.shape[0], 1)))
+        assert t.lookup(coords).tolist() == list(range(coords.shape[0]))
 
 
 class TestSparseTensor:
@@ -116,7 +118,7 @@ class TestSparseTensor:
         coords = np.unique(np.abs(rng.integers(-20, 20, size=(100, 4))), axis=0)
         t = SparseTensor(coords, np.zeros((coords.shape[0], 1)))
         for i in (0, len(coords) // 2, len(coords) - 1):
-            assert t.index.get(coords[i]) == i
+            assert t.lookup(coords[i]).tolist() == [i]
 
     def test_lookup(self, rng):
         coords = np.unique(rng.integers(-30, 30, size=(300, 4)), axis=0)

@@ -9,7 +9,6 @@ from link3d import (
     anchored_xyz,
     count_dense_kernel_params,
     count_generator_params,
-    gather_neighborhood,
     generate_kernel,
     link,
     link_backward,
@@ -18,7 +17,6 @@ from link3d import (
     neighbor_offsets,
     pairwise_kernel,
     partition_blocks,
-    pull,
     push_proxies,
 )
 from conftest import make_scene
@@ -196,11 +194,9 @@ class TestPushGatherPull:
         part = partition_blocks(t, 3)
         k_cos, k_sin = generate_kernel(gen, anchored_xyz(t))
         proxies = push_proxies(part, t.features, k_cos, k_sin)
-        gathered = gather_neighborhood(part, proxies, 1)
-        np.testing.assert_array_equal(gathered.gathered_cos, proxies.proxy_cos)
-        np.testing.assert_array_equal(
-            gathered.neighborhood_count, part.populations
-        )
+        g_cos, _, count, _ = link._gather(part, proxies, 1)
+        np.testing.assert_array_equal(g_cos, proxies.proxy_cos)
+        np.testing.assert_array_equal(count, part.populations)
 
     def test_gather_isolated_block(self, rng):
         t = SparseTensor([(0, 0, 0, 0), (0, 1, 1, 0)], np.ones((2, 2)))
@@ -208,9 +204,9 @@ class TestPushGatherPull:
         part = partition_blocks(t, 2)
         k_cos, k_sin = generate_kernel(gen, anchored_xyz(t))
         proxies = push_proxies(part, t.features, k_cos, k_sin)
-        gathered = gather_neighborhood(part, proxies, 3)
-        np.testing.assert_array_equal(gathered.gathered_cos, proxies.proxy_cos)
-        assert gathered.neighborhood_count.tolist() == [2]
+        g_cos, _, count, _ = link._gather(part, proxies, 3)
+        np.testing.assert_array_equal(g_cos, proxies.proxy_cos)
+        assert count.tolist() == [2]
 
     def test_gather_matches_bruteforce_enumeration(self, rng):
         t = make_scene(rng, 400, 14, 2, batches=2)
@@ -218,13 +214,13 @@ class TestPushGatherPull:
         part = partition_blocks(t, 3)
         k_cos, k_sin = generate_kernel(gen, anchored_xyz(t))
         proxies = push_proxies(part, t.features, k_cos, k_sin)
-        gathered = gather_neighborhood(part, proxies, 3)
+        g_cos, _, count, _ = link._gather(part, proxies, 3)
         support = neighborhood_rows(t.coords, 3, 3)
         for v in range(t.num_voxels):
             b = part.voxel_block[v]
-            assert gathered.neighborhood_count[b] == len(support[v])
+            assert count[b] == len(support[v])
             np.testing.assert_allclose(
-                gathered.gathered_cos[b],
+                g_cos[b],
                 sum(k_cos[i] * t.features[i] for i in support[v]),
                 atol=1e-12,
             )
@@ -246,15 +242,6 @@ class TestPushGatherPull:
         np.testing.assert_allclose(
             out.features.reshape(-1), [expected_p, expected_q], atol=1e-14
         )
-
-    def test_pull_requires_gather(self, rng):
-        t = make_scene(rng, 20, 6, 2)
-        gen = make_generator(rng, 2)
-        part = partition_blocks(t, 3)
-        k_cos, k_sin = generate_kernel(gen, anchored_xyz(t))
-        proxies = push_proxies(part, t.features, k_cos, k_sin)
-        with pytest.raises(ConfigError):
-            pull(t, part, proxies, k_cos, k_sin)
 
 
 def corner_scene(rng, channels):
@@ -303,31 +290,24 @@ class TestSeparableGather:
         rng = np.random.default_rng(10 * s + r)
         t = make_scene(rng, 500, 4 * s + 6, 2, batches=2)
         part, proxies = pushed(t, s, rng)
-        gathered = gather_neighborhood(part, proxies, r)
+        g_cos, g_sin, count, _ = link._gather(part, proxies, r)
         np.testing.assert_allclose(
-            gathered.gathered_cos, block_window_sums(part, proxies.proxy_cos, r),
-            rtol=0, atol=1e-12,
+            g_cos, block_window_sums(part, proxies.proxy_cos, r), rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(
-            gathered.gathered_sin, block_window_sums(part, proxies.proxy_sin, r),
-            rtol=0, atol=1e-12,
+            g_sin, block_window_sums(part, proxies.proxy_sin, r), rtol=0, atol=1e-12
         )
-        np.testing.assert_array_equal(
-            gathered.neighborhood_count, block_window_sums(part, part.populations, r)
-        )
+        np.testing.assert_array_equal(count, block_window_sums(part, part.populations, r))
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_corner_of_packable_box(self, r, rng):
         t = corner_scene(rng, 2)
         part, proxies = pushed(t, 1, rng)
-        gathered = gather_neighborhood(part, proxies, r)
+        g_cos, _, count, _ = link._gather(part, proxies, r)
         np.testing.assert_allclose(
-            gathered.gathered_cos, block_window_sums(part, proxies.proxy_cos, r),
-            rtol=0, atol=1e-12,
+            g_cos, block_window_sums(part, proxies.proxy_cos, r), rtol=0, atol=1e-12
         )
-        np.testing.assert_array_equal(
-            gathered.neighborhood_count, block_window_sums(part, part.populations, r)
-        )
+        np.testing.assert_array_equal(count, block_window_sums(part, part.populations, r))
 
     @pytest.mark.parametrize("s,r,corner", [(1, 2, True), (3, 3, False),
                                             (2, 4, False), (3, 5, False)])
@@ -350,24 +330,23 @@ class TestSeparableGather:
     def test_dropped_offset_is_left_out(self, rng):
         t = make_scene(rng, 400, 14, 2)
         part, proxies = pushed(t, 3, rng)
-        full = gather_neighborhood(part, proxies, 3)
-        dropped = gather_neighborhood(part, proxies, 3, drop_offset=(0, 0, 1))
-        outside = gather_neighborhood(part, proxies, 3, drop_offset=(0, 0, 2))
+        full_cos, _, full_count, _ = link._gather(part, proxies, 3)
+        dropped_cos, _, dropped_count, _ = link._gather(
+            part, proxies, 3, drop_offset=(0, 0, 1)
+        )
+        outside_cos, _, _, _ = link._gather(part, proxies, 3, drop_offset=(0, 0, 2))
         index = {tuple(bc): i for i, bc in enumerate(part.block_coords.tolist())}
-        lost = np.zeros_like(full.gathered_cos)
-        lost_count = np.zeros_like(full.neighborhood_count)
+        lost = np.zeros_like(full_cos)
+        lost_count = np.zeros_like(full_count)
         for i, (b, x, y, z) in enumerate(part.block_coords.tolist()):
             j = index.get((b, x, y, z + 1))
             if j is not None:
                 lost[i] = proxies.proxy_cos[j]
                 lost_count[i] = part.populations[j]
-        np.testing.assert_allclose(dropped.gathered_cos, full.gathered_cos - lost,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(
-            dropped.neighborhood_count, full.neighborhood_count - lost_count
-        )
+        np.testing.assert_allclose(dropped_cos, full_cos - lost, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(dropped_count, full_count - lost_count)
         assert lost_count.any()
-        np.testing.assert_array_equal(outside.gathered_cos, full.gathered_cos)
+        np.testing.assert_array_equal(outside_cos, full_cos)
 
 
 class TestForwardOracleEquivalence:

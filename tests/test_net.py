@@ -8,15 +8,15 @@ from link3d import (
     count_dense_kernel_params,
     count_generator_params,
     downsample_labels,
-    encoder_forward,
     erf_map,
     erf_mass_radius,
-    link_module_forward,
     toy_train,
 )
-from link3d.net import EncoderConfig, LinKModule, SegModel, stage1_coords
+from link3d.core import coarsen
+from link3d.layers import layer_norm_forward
+from link3d.net import EncoderConfig, LinKModule, ResidualBlock, SegModel
 from conftest import make_scene
-from oracles import compare_sampled, fd_grad, loop_majority
+from oracles import compare_sampled, dense_conv_oracle, fd_grad, loop_majority
 
 
 def dense_slab(width, depth, channels=1, seed=0, dtype=np.float64):
@@ -56,7 +56,7 @@ class TestLinKModule:
             arr[...] = 0.0
         # zero generator weight still yields cos(0)=1 kernels, but zero
         # pointwise and bypass weights make both branches vanish
-        out = link_module_forward(t, module)
+        out = module.forward(t)
         assert (out.features == 0).all()
 
     def test_single_voxel_identity_composition(self, rng):
@@ -69,39 +69,45 @@ class TestLinKModule:
         center = module.bypass.conv.weights.shape[0] // 2
         module.bypass.conv.weights[center] = np.eye(3)
         module.bypass.conv.bias[...] = 0.0
-        out = link_module_forward(t, module)
+        out = module.forward(t)
         np.testing.assert_allclose(out.features, np.maximum(2 * x, 0), atol=1e-12)
 
     def test_coords_preserved(self, rng):
         t = make_scene(rng, 80, 10, 4)
         module = LinKModule(4, 3, 2, "pure", 2, rng)
-        out = link_module_forward(t, module)
+        out = module.forward(t)
         assert out.coords is t.coords
 
 
 class TestResidualBlockRoutes:
     def test_layer_matches_functional_composition(self, rng):
-        from link3d import ResidualBlockWeights, residual_block
-        from link3d.net import ResidualBlock
-
+        """The layer against dense-grid convolutions, LayerNorm and ReLU."""
         t = make_scene(rng, 70, 8, 4)
         layer = ResidualBlock(4, rng)
-        weights = ResidualBlockWeights(
-            conv1=layer.conv1.conv,
-            conv2=layer.conv2.conv,
-            norm1=layer.norm1.params,
-            norm2=layer.norm2.params,
-        )
-        np.testing.assert_array_equal(
-            layer.forward(t).features, residual_block(t, weights).features
-        )
+        for norm in (layer.norm1, layer.norm2):
+            norm.params.scale[...] = rng.uniform(0.5, 1.5, size=4)
+            norm.params.shift[...] = rng.normal(size=4)
+
+        def conv(feats, sc):
+            out = dense_conv_oracle(t.coords, feats, sc.conv.weights, sc.conv.bias, 3)
+            return np.array([out[tuple(c)] for c in t.coords])
+
+        def norm(x, layer_norm):
+            return layer_norm_forward(x, layer_norm.params)[0]
+
+        h = np.maximum(norm(conv(t.features, layer.conv1), layer.norm1), 0)
+        h = norm(conv(h, layer.conv2), layer.norm2)
+        expected = np.maximum(h + t.features, 0)
+        out = layer.forward(t)
+        assert out.coords is t.coords
+        np.testing.assert_allclose(out.features, expected, rtol=0, atol=1e-12)
 
 
 class TestEncoder:
     def test_stage_extents_halve(self, rng):
         t = dense_slab(16, 16)
         enc = build_encoder(small_config(channels=2), seed=0)
-        outs = encoder_forward(t, enc)
+        outs = enc.forward(t)
         extents = [
             int(o.coords[:, 1].max() - o.coords[:, 1].min()) + 1 for o in outs
         ]
@@ -110,7 +116,7 @@ class TestEncoder:
     def test_stage_coords_are_downsampled_parents(self, rng):
         t = make_scene(rng, 200, 16, 1)
         enc = build_encoder(small_config(channels=2), seed=0)
-        outs = encoder_forward(t, enc)
+        outs = enc.forward(t)
         prev = t.coords
         for o in outs:
             down = prev.copy()
@@ -270,28 +276,25 @@ class TestDownsampleLabels:
             [(0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 4, 4, 4)],
             dtype=np.int64,
         )
-        t = SparseTensor(coords, np.zeros((4, 1)))
-        out_coords = stage1_coords(t)
+        out_coords = coarsen(coords, 2)[0]
         labels = np.array([2, 1, 1, 3])
-        down = downsample_labels(coords, labels, out_coords, 4)
+        down = downsample_labels(coords, labels, 4)
         by_coord = {tuple(c): l for c, l in zip(out_coords, down)}
         assert by_coord[(0, 0, 0, 0)] == 1  # two votes for 1, one for 2
         assert by_coord[(0, 2, 2, 2)] == 3
 
     def test_exact_tie_takes_smaller_label(self):
         coords = np.array([(0, 0, 0, 0), (0, 1, 1, 1)], dtype=np.int64)
-        t = SparseTensor(coords, np.zeros((2, 1)))
-        out_coords = stage1_coords(t)
-        assert out_coords.shape[0] == 1
-        down = downsample_labels(coords, np.array([3, 1]), out_coords, 4)
+        assert coarsen(coords, 2)[0].shape[0] == 1
+        down = downsample_labels(coords, np.array([3, 1]), 4)
         assert down[0] == 1
 
 
     def test_matches_loop_with_ties(self, rng):
         t = make_scene(rng, 400, 10, 1, batches=2)
         labels = rng.integers(0, 3, size=t.num_voxels)
-        out_coords = stage1_coords(t)
-        down = downsample_labels(t.coords, labels, out_coords, 3)
+        out_coords = coarsen(t.coords, 2)[0]
+        down = downsample_labels(t.coords, labels, 3)
         by_coord = {tuple(c): i for i, c in enumerate(out_coords.tolist())}
         fl = t.coords.copy()
         fl[:, 1:] = np.floor_divide(fl[:, 1:], 2)
