@@ -22,11 +22,7 @@ from .core import (
     COORD_BOUND,
     PointCloud,
     SparseTensor,
-    VoxelCoord,
-    empty_tensor,
-    pack_key,
     pack_keys,
-    unpack_key,
     voxelize,
 )
 from .errors import (
@@ -42,7 +38,6 @@ from .link import (
     KernelGenerator,
     LinKConfig,
     LinKState,
-    OpCounters,
     ProxySet,
     anchored_xyz,
     count_dense_kernel_params,
@@ -52,7 +47,6 @@ from .link import (
     link_forward,
     link_oracle,
     neighbor_offsets,
-    pairwise_kernel,
     partition_blocks,
     pull,
     push_proxies,

@@ -9,7 +9,6 @@ or file-format error.
 from __future__ import annotations
 
 import argparse
-import os
 import statistics
 import sys
 import time
@@ -74,7 +73,6 @@ class RunConfig:
     lr: float = 0.5
     num_classes: int = 4
     stage: int = 2
-    threads: int = 1
     corrupt: str = "none"
     link_branch: bool = True
     max_voxels: int = 0
@@ -161,14 +159,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("precision must be 32 or 64")
     if cfg.n_points < 0:
         raise ConfigError("n_points must be >= 0")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.profile not in PROFILES:
         raise ConfigError(f"profile must be one of {PROFILES}")
     if not 1 <= cfg.stage <= 4:
         raise ConfigError("stage must be in 1..4")
     if not 2 <= cfg.num_classes <= 8:
         raise ConfigError("num_classes must be in 2..8")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
     if cfg.corrupt not in ("none", "drop-neighbor"):
         raise ConfigError("corrupt must be none or drop-neighbor")
     if cfg.steps < 0 or cfg.max_voxels < 0:
@@ -180,9 +178,6 @@ def load_config(command: str, config_path: Optional[str],
     cfg = RunConfig(command=command)
     for key, value in _COMMAND_DEFAULTS.get(command, {}).items():
         setattr(cfg, key, value)
-    env_threads = os.environ.get("LINK_THREADS")
-    if env_threads is not None:
-        cfg.threads = _coerce("threads", env_threads)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -302,7 +297,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         params = count_generator_params(gen)
         link_ms = _median_ms(lambda: link_forward(t, lcfg))
         rows.append((cfg.s * r, "link", t.num_voxels, link_ms, params))
-        oracle_ms = _median_ms(lambda: link_oracle(t, lcfg, n_workers=cfg.threads))
+        oracle_ms = _median_ms(lambda: link_oracle(t, lcfg))
         rows.append((cfg.s * r, "oracle", t.num_voxels, oracle_ms, params))
     conv = ConvWeights.random(3, t.num_channels, t.num_channels, rng,
                               dtype=t.dtype)
@@ -342,6 +337,8 @@ def cmd_train_toy(cfg: RunConfig) -> int:
         cfg.seed, cfg.n_points, cfg.extent, cfg.num_classes
     )
     t = voxelize(cloud, cfg.voxel_size, dtype=cfg.dtype())
+    if t.num_voxels == 0:
+        raise ConfigError("train-toy requires a non-empty scene")
     if cfg.max_voxels and t.num_voxels > cfg.max_voxels:
         t = SparseTensor(t.coords[: cfg.max_voxels], t.features[: cfg.max_voxels])
     labels = voxel_majority_labels(cloud, point_labels, cfg.voxel_size, t,

@@ -126,22 +126,6 @@ class ConvWeights:
         w = rng.normal(0.0, scale, size=(volume, c_in, c_out)).astype(dtype)
         return cls(w, np.zeros(c_out, dtype=dtype))
 
-    @classmethod
-    def zeros(cls, kernel_size, c_in, c_out, stride=1, dtype=np.float64):
-        volume = kernel_offsets(kernel_size, stride).shape[0]
-        return cls(
-            np.zeros((volume, c_in, c_out), dtype=dtype),
-            np.zeros(c_out, dtype=dtype),
-        )
-
-    @classmethod
-    def identity_center(cls, kernel_size, channels, dtype=np.float64):
-        """Zero kernel except an identity matrix at the center offset."""
-        w = cls.zeros(kernel_size, channels, channels, dtype=dtype)
-        center = kernel_offsets(kernel_size, 1).shape[0] // 2
-        w.weights[center] = np.eye(channels, dtype=dtype)
-        return w
-
 
 def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> SparseTensor:
     """Apply the kernel over the precomputed pair lists."""

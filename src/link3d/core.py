@@ -4,13 +4,13 @@ Coordinates are batched integer voxel positions ``(batch, x, y, z)``.  Each
 spatial component must lie in ``[-2**15, 2**15)`` so that the whole coordinate
 packs injectively into one 64-bit key with the fixed layout
 ``batch(16) | x+2^15 (16) | y+2^15 (16) | z+2^15 (16)``.  That bound covers
-roughly +-1638 m at a 0.05 m voxel size.
+roughly +-1638 m at a 0.05 m voxel size.  Every coordinate search runs in
+this key space, through :func:`probe_keys` and :func:`dilate_keys`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,15 +21,6 @@ COORD_BOUND = 1 << COORD_BITS       # spatial components in [-32768, 32768)
 BATCH_BOUND = 1 << 16               # batch index in [0, 65536)
 KEY_FIELD = 1 << 16                 # values one x, y or z field of a key holds
 KEY_XYZ_SHIFTS = (32, 16, 0)        # bit offsets of the x, y, z fields
-
-
-class VoxelCoord(NamedTuple):
-    """One batched voxel coordinate."""
-
-    batch: int
-    x: int
-    y: int
-    z: int
 
 
 def _as_coord_array(coords) -> np.ndarray:
@@ -43,20 +34,14 @@ def _as_coord_array(coords) -> np.ndarray:
     return arr
 
 
-def check_coord_bounds(coords: np.ndarray) -> None:
-    """Raise BoundsError unless every coordinate packs into the 64-bit key."""
-    if coords.size == 0:
-        return
-    b = coords[:, 0]
+def _in_bounds(coords: np.ndarray) -> np.ndarray:
+    """Mask of the (N, 4) coordinates that pack into the 64-bit key."""
     xyz = coords[:, 1:]
-    bad_b = (b < 0) | (b >= BATCH_BOUND)
-    bad_s = (xyz < -COORD_BOUND) | (xyz >= COORD_BOUND)
-    if bad_b.any() or bad_s.any():
-        n_bad = int(bad_b.sum() + bad_s.any(axis=1).sum())
-        raise BoundsError(
-            f"{n_bad} coordinate(s) outside batch [0, {BATCH_BOUND}) / "
-            f"spatial [-{COORD_BOUND}, {COORD_BOUND})"
-        )
+    return (
+        (coords[:, 0] >= 0)
+        & (coords[:, 0] < BATCH_BOUND)
+        & ((xyz >= -COORD_BOUND) & (xyz < COORD_BOUND)).all(axis=1)
+    )
 
 
 def _pack_keys_unchecked(arr: np.ndarray) -> np.ndarray:
@@ -68,26 +53,54 @@ def _pack_keys_unchecked(arr: np.ndarray) -> np.ndarray:
 
 
 def pack_keys(coords) -> np.ndarray:
-    """Pack (N, 4) coordinates into int64 keys, injective on the bounded domain."""
+    """Pack (N, 4) coordinates into int64 keys, injective on the bounded domain.
+
+    Raises BoundsError unless every coordinate packs.
+    """
     arr = _as_coord_array(coords)
-    check_coord_bounds(arr)
+    n_bad = int(arr.shape[0] - _in_bounds(arr).sum())
+    if n_bad:
+        raise BoundsError(
+            f"{n_bad} coordinate(s) outside batch [0, {BATCH_BOUND}) / "
+            f"spatial [-{COORD_BOUND}, {COORD_BOUND})"
+        )
     return _pack_keys_unchecked(arr)
 
 
-def pack_key(coord) -> int:
-    """Pack a single coordinate (VoxelCoord or 4-sequence) into its 64-bit key."""
-    return int(pack_keys(np.asarray(coord, dtype=np.int64))[0])
+def probe_keys(dst_keys: np.ndarray, src_keys: np.ndarray, offset):
+    """Rows of ``dst_keys`` whose key moved by the voxel ``offset`` (x, y, z)
+    is in the sorted ``src_keys``; returns (dst rows, src positions).
+
+    A move that leaves the packable box is a miss, since its key would carry
+    into the neighbouring field.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    if src_keys.shape[0] == 0:
+        return empty, empty
+    inside = True
+    delta = 0
+    for shift, d in zip(KEY_XYZ_SHIFTS, offset):
+        if d:
+            field_val = (dst_keys >> shift) & (KEY_FIELD - 1)
+            inside &= (field_val >= -d) & (field_val < KEY_FIELD - d)
+            delta += int(d) << shift
+    probe = dst_keys + delta
+    pos = np.searchsorted(src_keys, probe)
+    np.minimum(pos, src_keys.shape[0] - 1, out=pos)
+    rows = np.flatnonzero(inside & (src_keys[pos] == probe))
+    return rows, pos[rows]
 
 
-def unpack_key(key: int) -> VoxelCoord:
-    """Inverse of :func:`pack_key`."""
-    k = int(key) & 0xFFFF_FFFF_FFFF_FFFF
-    return VoxelCoord(
-        batch=(k >> 48) & 0xFFFF,
-        x=((k >> 32) & 0xFFFF) - COORD_BOUND,
-        y=((k >> 16) & 0xFFFF) - COORD_BOUND,
-        z=(k & 0xFFFF) - COORD_BOUND,
-    )
+def dilate_keys(keys: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
+    """Sorted union of ``keys`` moved by lo..hi along spatial ``axis`` (0 = x),
+    keeping only moves that stay inside the packable box."""
+    shift = KEY_XYZ_SHIFTS[axis]
+    field_val = (keys >> shift) & (KEY_FIELD - 1)
+    moved = [
+        keys[(field_val >= -d) & (field_val < KEY_FIELD - d)] + (d << shift)
+        for d in range(lo, hi + 1)
+    ]
+    return np.unique(np.concatenate(moved))
 
 
 def coarsen(coords: np.ndarray, factor: int):
@@ -146,24 +159,10 @@ class SparseTensor:
     def lookup(self, coords) -> np.ndarray:
         """Vectorized coordinate -> row lookup; -1 where absent or out of bounds."""
         arr = _as_coord_array(coords)
+        ok = np.flatnonzero(_in_bounds(arr))
+        hit, pos = probe_keys(_pack_keys_unchecked(arr[ok]), self._sorted_keys, (0, 0, 0))
         rows = np.full(arr.shape[0], -1, dtype=np.int64)
-        if arr.size == 0 or self.num_voxels == 0:
-            return rows
-        ok = (
-            (arr[:, 0] >= 0)
-            & (arr[:, 0] < BATCH_BOUND)
-            & (arr[:, 1:] >= -COORD_BOUND).all(axis=1)
-            & (arr[:, 1:] < COORD_BOUND).all(axis=1)
-        )
-        if not ok.any():
-            return rows
-        keys = pack_keys(arr[ok])
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos_c = np.minimum(pos, self.num_voxels - 1)
-        hit = self._sorted_keys[pos_c] == keys
-        found = np.full(keys.shape[0], -1, dtype=np.int64)
-        found[hit] = self._order[pos_c[hit]]
-        rows[ok] = found
+        rows[ok[hit]] = self._order[pos]
         return rows
 
     def with_features(self, features) -> "SparseTensor":
@@ -186,12 +185,6 @@ class SparseTensor:
             f"SparseTensor(num_voxels={self.num_voxels}, "
             f"num_channels={self.num_channels}, dtype={self.dtype})"
         )
-
-
-def empty_tensor(num_channels: int, dtype=np.float32) -> SparseTensor:
-    return SparseTensor(
-        np.zeros((0, 4), dtype=np.int64), np.zeros((0, num_channels), dtype=dtype)
-    )
 
 
 @dataclass
@@ -234,12 +227,14 @@ def voxelize(cloud: PointCloud, voxel_size: float, dtype=np.float32) -> SparseTe
     if voxel_size <= 0:
         raise ConfigError(f"voxel_size must be > 0, got {voxel_size}")
     if cloud.num_points == 0:
-        return empty_tensor(cloud.attributes.shape[1], dtype=dtype)
+        return SparseTensor(
+            np.zeros((0, 4), dtype=np.int64),
+            np.zeros((0, cloud.attributes.shape[1]), dtype=dtype),
+        )
     vox = np.floor(cloud.points / float(voxel_size)).astype(np.int64)
     coords = np.concatenate(
         [np.zeros((vox.shape[0], 1), dtype=np.int64), vox], axis=1
     )
-    check_coord_bounds(coords)
     keys = pack_keys(coords)
     uniq_keys, first_rows, inverse, counts = np.unique(
         keys, return_index=True, return_inverse=True, return_counts=True

@@ -34,19 +34,6 @@ def load_lidar_bin(path) -> PointCloud:
     return PointCloud(points=arr[:, :3], attributes=arr[:, 3:4])
 
 
-def save_lidar_bin(path, cloud: PointCloud) -> None:
-    """Write a cloud back to the 16-byte record format (first attribute only)."""
-    n = cloud.num_points
-    intensity = (
-        cloud.attributes[:, :1]
-        if cloud.attributes.shape[1]
-        else np.zeros((n, 1))
-    )
-    rec = np.concatenate([cloud.points, intensity], axis=1).astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(rec.tobytes())
-
-
 def _ground_and_clusters(rng, n_points: int, extent: float):
     """Planar slab plus Gaussian blobs; returns (points, source ids).
 

@@ -32,13 +32,12 @@ canonical per-batch choice.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import KEY_FIELD, KEY_XYZ_SHIFTS, SparseTensor, coarsen
+from .core import SparseTensor, coarsen, dilate_keys, probe_keys
 from .errors import ConfigError, DimensionError
 
 ORACLE_CHUNK_ELEMS = 1 << 22  # cap on pairwise work-array size per slice
@@ -159,17 +158,6 @@ def generate_kernel(gen: KernelGenerator, coords_xyz, dtype=np.float64):
     return _tile_groups(k_cos, gen.groups), _tile_groups(k_sin, gen.groups)
 
 
-def pairwise_kernel(gen: KernelGenerator, coords_a, coords_b, dtype=np.float64):
-    """Product-form pair kernel k_cos(a).k_cos(b) + k_sin(a).k_sin(b).
-
-    In pure mode this equals cos of the phase of (a - b); tests verify that
-    identity against an independently computed cosine.
-    """
-    ca, sa = generate_kernel(gen, coords_a, dtype)
-    cb, sb = generate_kernel(gen, coords_b, dtype)
-    return ca * cb + sa * sb
-
-
 def count_dense_kernel_params(kernel_size: int, c_in: int, c_out: int) -> int:
     """Parameter count of a stored dense kernel of the same spatial size."""
     if kernel_size < 1 or c_in < 1 or c_out < 1:
@@ -206,16 +194,6 @@ class BlockPartition:
     @property
     def num_blocks(self) -> int:
         return self.block_coords.shape[0]
-
-    def block_rows(self, block_id: int) -> np.ndarray:
-        """Member voxel rows of one block, ascending."""
-        start = self.segment_starts[block_id]
-        end = (
-            self.segment_starts[block_id + 1]
-            if block_id + 1 < self.num_blocks
-            else self.row_order.shape[0]
-        )
-        return self.row_order[start:end]
 
 
 def partition_blocks(t: SparseTensor, block_size: int) -> BlockPartition:
@@ -262,7 +240,6 @@ class ProxySet:
 
     proxy_cos: np.ndarray       # (M, C)
     proxy_sin: np.ndarray       # (M, C)
-    populations: np.ndarray     # (M,)
 
 
 def push_proxies(
@@ -277,10 +254,10 @@ def push_proxies(
     if n == 0:
         c = features.shape[1]
         zero = np.zeros((0, c), dtype=features.dtype)
-        return ProxySet(zero, zero.copy(), part.populations)
+        return ProxySet(zero, zero.copy())
     proxy_cos = np.add.reduceat(wc, part.segment_starts, axis=0)
     proxy_sin = np.add.reduceat(ws, part.segment_starts, axis=0)
-    return ProxySet(proxy_cos, proxy_sin, part.populations)
+    return ProxySet(proxy_cos, proxy_sin)
 
 
 class GatherSets(NamedTuple):
@@ -290,42 +267,6 @@ class GatherSets(NamedTuple):
     along_zy: np.ndarray   # occupied blocks dilated along z, then along y
     along_z: np.ndarray    # occupied blocks dilated along z
     proxy_reads: int       # proxy rows the first (x) pass read
-
-
-def _probe(dst_keys: np.ndarray, src_keys: np.ndarray, offset):
-    """Rows of ``dst_keys`` whose key moved by the block ``offset`` (x, y, z)
-    is in the sorted ``src_keys``; returns (dst rows, src rows).
-
-    A move that leaves the packable box is a miss, since its key would carry
-    into the neighbouring field.
-    """
-    empty = np.zeros(0, dtype=np.int64)
-    if src_keys.shape[0] == 0:
-        return empty, empty
-    inside = np.ones(dst_keys.shape[0], dtype=bool)
-    delta = 0
-    for shift, d in zip(KEY_XYZ_SHIFTS, offset):
-        if d:
-            field_val = (dst_keys >> shift) & (KEY_FIELD - 1)
-            inside &= (field_val >= -d) & (field_val < KEY_FIELD - d)
-            delta += int(d) << shift
-    probe = dst_keys + delta
-    pos = np.searchsorted(src_keys, probe)
-    np.minimum(pos, src_keys.shape[0] - 1, out=pos)
-    rows = np.flatnonzero(inside & (src_keys[pos] == probe))
-    return rows, pos[rows]
-
-
-def _dilate(keys: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
-    """Sorted union of ``keys`` moved by lo..hi along ``axis``, keeping only
-    moves that stay inside the packable box."""
-    shift = KEY_XYZ_SHIFTS[axis]
-    field_val = (keys >> shift) & (KEY_FIELD - 1)
-    moved = [
-        keys[(field_val >= -d) & (field_val < KEY_FIELD - d)] + (d << shift)
-        for d in range(lo, hi + 1)
-    ]
-    return np.unique(np.concatenate(moved))
 
 
 def _box_pass(dst_keys, src_keys, src_vals, axis: int, lo: int, hi: int):
@@ -339,7 +280,7 @@ def _box_pass(dst_keys, src_keys, src_vals, axis: int, lo: int, hi: int):
     reads = 0
     for d in range(lo, hi + 1):
         offset[axis] = d
-        rows, src = _probe(dst_keys, src_keys, offset)
+        rows, src = probe_keys(dst_keys, src_keys, offset)
         out[rows] += src_vals[src]
         reads += rows.shape[0]
     return out, reads
@@ -382,8 +323,8 @@ def _gather(
     """
     lo, hi = neighbor_window(neighbor_range)
     keys = part.block_keys
-    along_z = _dilate(keys, 2, lo, hi)
-    along_zy = _dilate(along_z, 1, lo, hi)
+    along_z = dilate_keys(keys, 2, lo, hi)
+    along_zy = dilate_keys(along_z, 1, lo, hi)
     c = proxies.proxy_cos.shape[1]
     stacked = np.concatenate(
         [
@@ -395,7 +336,7 @@ def _gather(
     )
     sums, reads = _box_sum(stacked, keys, along_zy, along_z, lo, hi)
     if drop_offset is not None and all(lo <= d <= hi for d in drop_offset):
-        rows, src = _probe(keys, keys, drop_offset)
+        rows, src = probe_keys(keys, keys, drop_offset)
         sums[rows] -= stacked[src]
     count = np.rint(sums[:, 2 * c]).astype(np.int64)
     return sums[:, :c], sums[:, c : 2 * c], count, GatherSets(along_zy, along_z, reads)
@@ -443,16 +384,6 @@ class LinKConfig:
 
 
 @dataclass
-class OpCounters:
-    """Abstract work counters (events, not wall time) for cost assertions."""
-
-    push_macs: int = 0
-    pull_macs: int = 0
-    gather_proxy_reads: int = 0
-    generator_evals: int = 0
-
-
-@dataclass
 class LinKState:
     """Forward intermediates needed by the exact backward pass."""
 
@@ -466,7 +397,6 @@ class LinKState:
     count: np.ndarray           # voxels per block neighborhood, (M,)
     gather_sets: GatherSets
     normalize: bool
-    counters: OpCounters = field(default_factory=OpCounters)
 
 
 def anchored_xyz(t: SparseTensor) -> np.ndarray:
@@ -519,13 +449,6 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
     out = t.with_features(pulled.features.astype(t.dtype, copy=False))
     if not return_state:
         return out
-    n = t.num_voxels
-    counters = OpCounters(
-        push_macs=2 * n,
-        pull_macs=2 * n,
-        gather_proxy_reads=sets.proxy_reads,
-        generator_evals=n,
-    )
     state = LinKState(
         partition=part,
         anchored_xyz=coords,
@@ -537,7 +460,6 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
         count=count,
         gather_sets=sets,
         normalize=cfg.normalize,
-        counters=counters,
     )
     return out, state
 
@@ -632,12 +554,7 @@ def _oracle_block(out, rows, nb_rows, features, k_cos, k_sin, normalize):
         out[sub] = (kappa * fv[None, :, :]).sum(axis=1) / denom
 
 
-def link_oracle(
-    t: SparseTensor,
-    cfg: LinKConfig,
-    n_workers: int = 1,
-    return_stats: bool = False,
-):
+def link_oracle(t: SparseTensor, cfg: LinKConfig, return_stats: bool = False):
     """Direct pairwise aggregation over each voxel's block neighborhood.
 
     Quadratic in the neighborhood population, intended as a test and
@@ -660,34 +577,21 @@ def link_oracle(
     features = t.features.astype(work, copy=False)
     part = partition_blocks(t, cfg.block_size)
     block_ids = {tuple(bc): i for i, bc in enumerate(part.block_coords)}
+    members = np.split(part.row_order, part.segment_starts[1:])
     offsets = neighbor_offsets(cfg.neighbor_range)
     out = np.zeros_like(features)
     pair_count = 0
-    jobs = []
     for i in range(part.num_blocks):
         batch, bx, by, bz = part.block_coords[i]
         nb_rows = []
         for dx, dy, dz in offsets:
             j = block_ids.get((batch, bx + dx, by + dy, bz + dz))
             if j is not None:
-                nb_rows.append(part.block_rows(j))
+                nb_rows.append(members[j])
         nb = np.concatenate(nb_rows)
-        rows = part.block_rows(i)
+        rows = members[i]
         pair_count += rows.shape[0] * nb.shape[0]
-        jobs.append((rows, nb))
-    if n_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(
-                pool.map(
-                    lambda job: _oracle_block(
-                        out, job[0], job[1], features, k_cos, k_sin, cfg.normalize
-                    ),
-                    jobs,
-                )
-            )
-    else:
-        for rows, nb in jobs:
-            _oracle_block(out, rows, nb, features, k_cos, k_sin, cfg.normalize)
+        _oracle_block(out, rows, nb, features, k_cos, k_sin, cfg.normalize)
     result = t.with_features(out.astype(t.dtype, copy=False))
     if return_stats:
         return result, pair_count

@@ -73,9 +73,6 @@ class Module:
         else:
             self.grads[name] = value
 
-    def num_params(self) -> int:
-        return sum(int(arr.size) for _, arr in self.named_parameters())
-
     def sgd_step(self, lr: float):
         grads = dict(self.named_grads())
         for name, arr in self.named_parameters():
@@ -197,40 +194,34 @@ class LinKOp(Module):
 class ResidualBlock(Module):
     """y = ReLU(Norm(Conv3(ReLU(Norm(Conv3(x))))) + x)."""
 
-    def __init__(self, channels, rng, norm_enabled=True, dtype=np.float64):
+    def __init__(self, channels, rng, dtype=np.float64):
         super().__init__()
         self.conv1 = SparseConv(3, channels, channels, rng, dtype=dtype)
         self.conv2 = SparseConv(3, channels, channels, rng, dtype=dtype)
-        self.norm1 = Norm(channels, dtype=dtype) if norm_enabled else None
-        self.norm2 = Norm(channels, dtype=dtype) if norm_enabled else None
+        self.norm1 = Norm(channels, dtype=dtype)
+        self.norm2 = Norm(channels, dtype=dtype)
 
     def _children(self):
-        kids = [("conv1", self.conv1), ("conv2", self.conv2)]
-        if self.norm1 is not None:
-            kids += [("norm1", self.norm1), ("norm2", self.norm2)]
-        return kids
+        return [("conv1", self.conv1), ("conv2", self.conv2),
+                ("norm1", self.norm1), ("norm2", self.norm2)]
 
     def forward(self, t: SparseTensor) -> SparseTensor:
         h = self.conv1.forward(t).features
-        if self.norm1 is not None:
-            h = self.norm1.forward(h)
+        h = self.norm1.forward(h)
         self._pre1 = h
         h = relu(h)
         h = self.conv2.forward(t.with_features(h)).features
-        if self.norm2 is not None:
-            h = self.norm2.forward(h)
+        h = self.norm2.forward(h)
         self._pre2 = h + t.features
         return t.with_features(relu(self._pre2))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         g = relu_backward(grad, self._pre2)
         skip = g
-        if self.norm2 is not None:
-            g = self.norm2.backward(g)
+        g = self.norm2.backward(g)
         g = self.conv2.backward(g)
         g = relu_backward(g, self._pre1)
-        if self.norm1 is not None:
-            g = self.norm1.backward(g)
+        g = self.norm1.backward(g)
         g = self.conv1.backward(g)
         return g + skip
 
@@ -238,10 +229,10 @@ class ResidualBlock(Module):
 class ResidualBranch(Module):
     """Two residual blocks in sequence."""
 
-    def __init__(self, channels, rng, norm_enabled=True, dtype=np.float64):
+    def __init__(self, channels, rng, dtype=np.float64):
         super().__init__()
-        self.block1 = ResidualBlock(channels, rng, norm_enabled, dtype)
-        self.block2 = ResidualBlock(channels, rng, norm_enabled, dtype)
+        self.block1 = ResidualBlock(channels, rng, dtype)
+        self.block2 = ResidualBlock(channels, rng, dtype)
 
     def _children(self):
         return [("block1", self.block1), ("block2", self.block2)]
@@ -262,35 +253,30 @@ class LinKModule(Module):
     """
 
     def __init__(self, channels, block_size, neighbor_range, mode, groups, rng,
-                 norm_enabled=True, link_enabled=True, dtype=np.float64):
+                 link_enabled=True, dtype=np.float64):
         super().__init__()
         self.pointwise = PointwiseConv(channels, channels, rng, dtype=dtype)
         self.link = LinKOp(channels, block_size, neighbor_range, mode, groups, rng)
         self.bypass = SparseConv(3, channels, channels, rng, dtype=dtype)
-        self.norm = Norm(channels, dtype=dtype) if norm_enabled else None
+        self.norm = Norm(channels, dtype=dtype)
         self.link_enabled = link_enabled
 
     def _children(self):
-        kids = [("pointwise", self.pointwise), ("link", self.link),
-                ("bypass", self.bypass)]
-        if self.norm is not None:
-            kids.append(("norm", self.norm))
-        return kids
+        return [("pointwise", self.pointwise), ("link", self.link),
+                ("bypass", self.bypass), ("norm", self.norm)]
 
     def forward(self, t: SparseTensor) -> SparseTensor:
         h = self.bypass.forward(t).features
         if self.link_enabled:
             mixed = self.pointwise.forward(t.features)
             h = h + self.link.forward(t.with_features(mixed)).features
-        if self.norm is not None:
-            h = self.norm.forward(h)
+        h = self.norm.forward(h)
         self._pre = h
         return t.with_features(relu(h))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         g = relu_backward(grad, self._pre)
-        if self.norm is not None:
-            g = self.norm.backward(g)
+        g = self.norm.backward(g)
         gin = self.bypass.backward(g)
         if self.link_enabled:
             gin = gin + self.pointwise.backward(self.link.backward(g))
@@ -300,29 +286,23 @@ class LinKModule(Module):
 class Downsample(Module):
     """K=2 stride-2 conv, LayerNorm, ReLU; coords become floor(coord / 2)."""
 
-    def __init__(self, c_in, c_out, rng, norm_enabled=True, dtype=np.float64):
+    def __init__(self, c_in, c_out, rng, dtype=np.float64):
         super().__init__()
         self.conv = SparseConv(2, c_in, c_out, rng, stride=2, dtype=dtype)
-        self.norm = Norm(c_out, dtype=dtype) if norm_enabled else None
+        self.norm = Norm(c_out, dtype=dtype)
 
     def _children(self):
-        kids = [("conv", self.conv)]
-        if self.norm is not None:
-            kids.append(("norm", self.norm))
-        return kids
+        return [("conv", self.conv), ("norm", self.norm)]
 
     def forward(self, t: SparseTensor) -> SparseTensor:
         out = self.conv.forward(t)
-        h = out.features
-        if self.norm is not None:
-            h = self.norm.forward(h)
+        h = self.norm.forward(out.features)
         self._pre = h
         return out.with_features(relu(h))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         g = relu_backward(grad, self._pre)
-        if self.norm is not None:
-            g = self.norm.backward(g)
+        g = self.norm.backward(g)
         return self.conv.backward(g)
 
 
@@ -330,13 +310,12 @@ class Stage(Module):
     """Downsample, then residual branch and large-kernel module summed."""
 
     def __init__(self, c_in, c_out, block_size, neighbor_range, mode, groups, rng,
-                 norm_enabled=True, link_enabled=True, dtype=np.float64):
+                 link_enabled=True, dtype=np.float64):
         super().__init__()
-        self.down = Downsample(c_in, c_out, rng, norm_enabled, dtype)
-        self.residual = ResidualBranch(c_out, rng, norm_enabled, dtype)
+        self.down = Downsample(c_in, c_out, rng, dtype)
+        self.residual = ResidualBranch(c_out, rng, dtype)
         self.link_module = LinKModule(
-            c_out, block_size, neighbor_range, mode, groups, rng,
-            norm_enabled, link_enabled, dtype,
+            c_out, block_size, neighbor_range, mode, groups, rng, link_enabled, dtype,
         )
 
     def _children(self):
@@ -365,7 +344,6 @@ class EncoderConfig:
     neighbor_ranges: Sequence[int] = (2, 2, 2, 2)
     mode: str = "pure"
     groups: int = 1
-    norm_enabled: bool = True
     link_enabled: bool = True
     dtype: type = np.float64
 
@@ -385,25 +363,23 @@ class Encoder(Module):
         dt = cfg.dtype
         self.cfg = cfg
         self.stem_conv1 = SparseConv(3, cfg.in_channels, cfg.stem_channels, rng, dtype=dt)
-        self.stem_norm1 = Norm(cfg.stem_channels, dtype=dt) if cfg.norm_enabled else None
+        self.stem_norm1 = Norm(cfg.stem_channels, dtype=dt)
         self.stem_conv2 = SparseConv(3, cfg.stem_channels, cfg.stem_channels, rng, dtype=dt)
-        self.stem_norm2 = Norm(cfg.stem_channels, dtype=dt) if cfg.norm_enabled else None
+        self.stem_norm2 = Norm(cfg.stem_channels, dtype=dt)
         self.stages: List[Stage] = []
         c_prev = cfg.stem_channels
         for i, c in enumerate(cfg.stage_channels):
             self.stages.append(
                 Stage(
                     c_prev, c, cfg.block_sizes[i], cfg.neighbor_ranges[i],
-                    cfg.mode, cfg.groups, rng,
-                    cfg.norm_enabled, cfg.link_enabled, dt,
+                    cfg.mode, cfg.groups, rng, cfg.link_enabled, dt,
                 )
             )
             c_prev = c
 
     def _children(self):
-        kids = [("stem_conv1", self.stem_conv1), ("stem_conv2", self.stem_conv2)]
-        if self.stem_norm1 is not None:
-            kids += [("stem_norm1", self.stem_norm1), ("stem_norm2", self.stem_norm2)]
+        kids = [("stem_conv1", self.stem_conv1), ("stem_conv2", self.stem_conv2),
+                ("stem_norm1", self.stem_norm1), ("stem_norm2", self.stem_norm2)]
         for i, s in enumerate(self.stages):
             kids.append((f"stage{i + 1}", s))
         return kids
@@ -414,12 +390,10 @@ class Encoder(Module):
         if not 1 <= n_stages <= len(self.stages):
             raise ConfigError(f"n_stages must be in [1, {len(self.stages)}]")
         h = self.stem_conv1.forward(t).features
-        if self.stem_norm1 is not None:
-            h = self.stem_norm1.forward(h)
+        h = self.stem_norm1.forward(h)
         self._stem_pre1 = h
         h = self.stem_conv2.forward(t.with_features(relu(h))).features
-        if self.stem_norm2 is not None:
-            h = self.stem_norm2.forward(h)
+        h = self.stem_norm2.forward(h)
         self._stem_pre2 = h
         x = t.with_features(relu(h))
         outs = []
@@ -450,12 +424,10 @@ class Encoder(Module):
         if g is None:
             raise ConfigError("at least one stage gradient is required")
         g = relu_backward(g, self._stem_pre2)
-        if self.stem_norm2 is not None:
-            g = self.stem_norm2.backward(g)
+        g = self.stem_norm2.backward(g)
         g = self.stem_conv2.backward(g)
         g = relu_backward(g, self._stem_pre1)
-        if self.stem_norm1 is not None:
-            g = self.stem_norm1.backward(g)
+        g = self.stem_norm1.backward(g)
         return self.stem_conv1.backward(g)
 
 

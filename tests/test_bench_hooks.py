@@ -1,0 +1,41 @@
+"""The benchmark's traced run still reaches every library callable it wraps.
+
+``linkbench/workloads.install`` replaces library callables by name to time
+each layer.  A renamed callable, or a call path that bypasses one, drops that
+span's metrics from the traced result.  This runs each workload's small
+set-up scene under those wrappers: every wrapped name must exist, and every
+span on the workload's path must fire.
+"""
+
+from pathlib import Path
+
+import pytest
+
+LINKBENCH = Path(__file__).resolve().parent.parent / "linkbench"
+
+
+@pytest.fixture
+def linkbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(LINKBENCH))
+    import spans
+    import workloads
+
+    return spans, workloads
+
+
+@pytest.mark.parametrize("name", ["encoder-seg", "link-wide", "scan-det"])
+def test_every_wrapped_span_fires(name, linkbench, tmp_path):
+    spans, workloads = linkbench
+    wl = workloads.WORKLOADS[name](seed=0, out_dir=str(tmp_path))
+    inputs = wl.warm_inputs()
+    tracer = spans.Tracer()
+    try:
+        workloads.install(tracer)
+        wl.build()
+        with tracer.op():
+            wl.op(inputs)
+    finally:
+        tracer.restore()
+    assert tracer.absent == []
+    fired = {s["name"] for s in tracer.spans}
+    assert set(wl.on_path) <= fired, sorted(set(wl.on_path) - fired)

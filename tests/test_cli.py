@@ -1,11 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from link3d.cli import (
     EXIT_FAIL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    RunConfig,
     load_config,
     main,
 )
@@ -52,14 +56,41 @@ class TestConfigParsing:
         assert (seg.s, seg.r) == (3, 2)
 
     def test_env_threads(self, monkeypatch):
+        # neither the variable nor a threads key configures anything
         monkeypatch.setenv("LINK_THREADS", "4")
-        assert load_config("bench", None, [], None).threads == 4
+        assert not hasattr(load_config("bench", None, [], None), "threads")
+        with pytest.raises(ConfigError, match="unknown config key 'threads'"):
+            load_config("bench", None, ["threads=4"], None)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             load_config("verify", None, ["precision=16"], None)
         with pytest.raises(ConfigError):
             load_config("verify", None, ["groups=3", "channels=8"], None)
+
+
+# text that reaches every coercion and range check, and arbitrary text
+CONFIG_VALUES = st.one_of(
+    st.text(),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "off", "pure", "augmented", "detection", "uniform",
+                     "ground+clusters", "drop-neighbor", "1e999", "-0", " 7 "]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["verify", "bench", "erf", "train-toy"]),
+    st.sampled_from([f.name for f in fields(RunConfig)] + ["preset"]),
+    CONFIG_VALUES,
+)
+def test_any_set_value_validates_or_is_a_config_error(command, key, value):
+    """Validation only: no command runs on the generated values."""
+    try:
+        load_config(command, None, [f"{key}={value}"], None)
+    except ConfigError:
+        pass
 
 
 class TestVerifyCommand:
@@ -206,6 +237,10 @@ class TestTrainToyCommand:
         assert run(args) == EXIT_FAIL
         assert "non-finite loss" in capsys.readouterr().err
 
+    def test_empty_scene_usage_error(self, capsys):
+        assert run(["train-toy", "--set", "n_points=0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: train-toy requires a non-empty scene\n"
+
     def test_float32_training_runs(self, tmp_path):
         out = tmp_path / "trace.csv"
         args = ["train-toy", *TOY_ARGS, "--set", "precision=32",
@@ -256,6 +291,9 @@ class TestInputAndExitCodes:
             "lr=inf",
             "lr=-inf",
             "deterministic=true",
+            "threads=2",
+            "seed=-1",
+            "seed=-9223372036854775808",
         ],
     )
     def test_bad_size_exits_2_with_one_line(self, setting, capsys):

@@ -10,6 +10,7 @@ from link3d import (
     sparse_conv_backward,
     sparse_conv_forward,
 )
+from link3d.layers import LayerNormParams, layer_norm_forward
 from link3d.net import ResidualBlock
 from conftest import make_scene
 from oracles import dense_conv_oracle, fd_grad, rel_err
@@ -87,13 +88,14 @@ class TestKernelMap:
 class TestForward:
     def test_identity_center_kernel(self, rng):
         t = make_scene(rng, 60, 6, 3)
-        w = ConvWeights.identity_center(3, 3)
+        w = ConvWeights(np.zeros((27, 3, 3)))
+        w.weights[13] = np.eye(3)
         out = sparse_conv_forward(t, w, build_kernel_map(t, 3, 1))
         np.testing.assert_array_equal(out.features, t.features)
 
     def test_zero_weights(self, rng):
         t = make_scene(rng, 60, 6, 3)
-        w = ConvWeights.zeros(3, 3, 5)
+        w = ConvWeights(np.zeros((27, 3, 5)), np.zeros(5))
         out = sparse_conv_forward(t, w, build_kernel_map(t, 3, 1))
         assert (out.features == 0).all()
 
@@ -222,9 +224,10 @@ class TestBackward:
 
 
 class TestResidualBlock:
-    def test_zero_weights_norm_off_is_relu(self, rng):
+    def test_zero_weights_is_relu(self, rng):
+        # zero convs and zero norm scale/shift leave only the skip
         t = make_scene(rng, 40, 6, 3)
-        block = ResidualBlock(3, rng, norm_enabled=False)
+        block = ResidualBlock(3, rng)
         for _, arr in block.named_parameters():
             arr[...] = 0.0
         out = block.forward(t)
@@ -233,13 +236,18 @@ class TestResidualBlock:
     def test_single_voxel_identity_center(self, rng):
         x = np.array([[1.5, -2.0, 0.5]])
         t = SparseTensor([(0, 0, 0, 0)], x)
-        block = ResidualBlock(3, rng, norm_enabled=False)
+        block = ResidualBlock(3, rng)
         for conv in (block.conv1, block.conv2):
-            conv.conv.weights[...] = ConvWeights.identity_center(3, 3).weights
+            conv.conv.weights[...] = 0.0
+            conv.conv.weights[13] = np.eye(3)
             conv.conv.bias[...] = 0.0
         out = block.forward(t)
+
+        def norm(v):
+            return layer_norm_forward(v, LayerNormParams.identity(3))[0]
+
         np.testing.assert_allclose(
-            out.features, np.maximum(np.maximum(x, 0) + x, 0)
+            out.features, np.maximum(norm(np.maximum(norm(x), 0)) + x, 0)
         )
 
     def test_coords_preserved(self, rng):

@@ -7,10 +7,7 @@ from link3d import (
     DuplicateCoordError,
     PointCloud,
     SparseTensor,
-    VoxelCoord,
-    pack_key,
     pack_keys,
-    unpack_key,
     voxelize,
 )
 from oracles import regroup_voxels
@@ -18,17 +15,18 @@ from oracles import regroup_voxels
 
 class TestPackKey:
     def test_zero_coord(self):
-        assert pack_key((0, 0, 0, 0)) == 0x0000_8000_8000_8000
+        assert pack_keys((0, 0, 0, 0)).tolist() == [0x0000_8000_8000_8000]
 
     def test_domain_minimum(self):
-        assert pack_key((0, -(2 ** 15), -(2 ** 15), -(2 ** 15))) == 0
+        assert pack_keys((0, -(2 ** 15), -(2 ** 15), -(2 ** 15))).tolist() == [0]
 
     def test_layout(self):
         # batch(16) | x+2^15 | y+2^15 | z+2^15
-        assert pack_key((1, 0, 0, 0)) == (1 << 48) | 0x8000_8000_8000
-        assert pack_key((0, 1, 2, 3)) == 0x8001_8002_8003
+        keys = pack_keys([(1, 0, 0, 0), (0, 1, 2, 3)])
+        assert keys.tolist() == [(1 << 48) | 0x8000_8000_8000, 0x8001_8002_8003]
 
     def test_roundtrip(self, rng):
+        # key order is lexicographic (batch, x, y, z) order
         coords = np.stack(
             [
                 rng.integers(0, 100, 50),
@@ -38,8 +36,9 @@ class TestPackKey:
             ],
             axis=1,
         )
-        for c in coords:
-            assert unpack_key(pack_key(c)) == VoxelCoord(*c)
+        by_key = coords[np.argsort(pack_keys(coords), kind="stable")]
+        by_coord = coords[np.lexsort(coords.T[::-1])]
+        assert np.array_equal(by_key, by_coord)
 
     @pytest.mark.parametrize(
         "coord",
@@ -47,7 +46,7 @@ class TestPackKey:
     )
     def test_out_of_bounds(self, coord):
         with pytest.raises(BoundsError):
-            pack_key(coord)
+            pack_keys(coord)
 
     def test_injective_on_million_random_coords(self, rng):
         coords = np.stack(

@@ -7,7 +7,6 @@ from link3d.data import (
     gen_synthetic_scene,
     load_lidar_bin,
     majority_vote,
-    save_lidar_bin,
     voxel_majority_labels,
 )
 from link3d.core import voxelize
@@ -33,14 +32,13 @@ class TestLidarBin:
         intensity = rng.uniform(0, 1, size=(1000, 1)).astype(np.float32)
         cloud = PointCloud(pts.astype(np.float64), intensity.astype(np.float64))
         path = tmp_path / "scan.bin"
-        save_lidar_bin(path, cloud)
+        path.write_bytes(np.concatenate([pts, intensity], axis=1).astype("<f4").tobytes())
         back = load_lidar_bin(path)
         assert np.array_equal(back.points, cloud.points)
         assert np.array_equal(back.attributes, cloud.attributes)
         # byte-level identity on a second write
-        path2 = tmp_path / "scan2.bin"
-        save_lidar_bin(path2, back)
-        assert path.read_bytes() == path2.read_bytes()
+        rec = np.concatenate([back.points, back.attributes], axis=1).astype("<f4")
+        assert path.read_bytes() == rec.tobytes()
 
     def test_bad_length(self, tmp_path):
         path = tmp_path / "bad.bin"

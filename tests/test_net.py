@@ -33,7 +33,7 @@ def dense_slab(width, depth, channels=1, seed=0, dtype=np.float64):
 
 
 def small_config(channels=4, s=3, r=2, mode="pure", groups=1, link_enabled=True,
-                 norm_enabled=True, dtype=np.float64):
+                 dtype=np.float64):
     return EncoderConfig(
         in_channels=1,
         stem_channels=channels,
@@ -43,7 +43,6 @@ def small_config(channels=4, s=3, r=2, mode="pure", groups=1, link_enabled=True,
         mode=mode,
         groups=groups,
         link_enabled=link_enabled,
-        norm_enabled=norm_enabled,
         dtype=dtype,
     )
 
@@ -62,7 +61,7 @@ class TestLinKModule:
     def test_single_voxel_identity_composition(self, rng):
         x = np.array([[0.8, -0.4, 1.2]])
         t = SparseTensor([(0, 2, 5, -1)], x)
-        module = LinKModule(3, 3, 2, "pure", 1, rng, norm_enabled=False)
+        module = LinKModule(3, 3, 2, "pure", 1, rng)
         module.pointwise.weight[...] = np.eye(3)
         module.pointwise.bias[...] = 0.0
         module.bypass.conv.weights[...] = 0.0
@@ -70,7 +69,8 @@ class TestLinKModule:
         module.bypass.conv.weights[center] = np.eye(3)
         module.bypass.conv.bias[...] = 0.0
         out = module.forward(t)
-        np.testing.assert_allclose(out.features, np.maximum(2 * x, 0), atol=1e-12)
+        expected = np.maximum(layer_norm_forward(2 * x, module.norm.params)[0], 0)
+        np.testing.assert_allclose(out.features, expected, atol=1e-12)
 
     def test_coords_preserved(self, rng):
         t = make_scene(rng, 80, 10, 4)
@@ -141,7 +141,7 @@ class TestEncoder:
     def test_fewer_params_than_dense_large_kernel(self):
         cfg = small_config(channels=16, s=7, r=3, groups=2)
         enc = build_encoder(cfg, seed=0)
-        total = enc.num_params()
+        total = sum(arr.size for _, arr in enc.named_parameters())
         gen_total = sum(
             count_generator_params(st.link_module.link.generator)
             for st in enc.stages
