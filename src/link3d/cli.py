@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .conv import ConvWeights, build_kernel_map, sparse_conv_forward
-from .core import SparseTensor, voxelize
+from .core import COORD_BOUND, SparseTensor, voxelize
 from .data import (
     PROFILES,
     gen_labeled_scene,
@@ -45,6 +45,12 @@ EXIT_IO = 3
 
 BENCH_SWEEP = (1, 3, 5)
 BENCH_RUNS = 5
+
+# ceilings that keep a typo from allocating without bound; the receptive
+# field edge s*r must fit the packable coordinate range
+MAX_CHANNELS = 1024
+MAX_POINTS = 10_000_000
+MAX_FIELD = 2 * COORD_BOUND
 
 # kernel layouts from the reference configurations
 PRESETS = {
@@ -145,10 +151,17 @@ def _apply(cfg: RunConfig, key: str, value: str) -> None:
 def _validate(cfg: RunConfig) -> None:
     if cfg.s < 1 or cfg.r < 1:
         raise ConfigError("s and r must be >= 1")
+    if cfg.s * cfg.r > MAX_FIELD:
+        raise ConfigError(
+            f"s*r must be <= {MAX_FIELD} (the packable coordinate range), "
+            f"got {cfg.s * cfg.r}"
+        )
     if cfg.mode not in ("pure", "augmented"):
         raise ConfigError(f"mode must be pure or augmented, got {cfg.mode!r}")
     if cfg.channels < 1 or cfg.groups < 1 or cfg.channels % cfg.groups != 0:
         raise ConfigError("groups must be positive and divide channels")
+    if cfg.channels > MAX_CHANNELS:
+        raise ConfigError(f"channels must be <= {MAX_CHANNELS}, got {cfg.channels}")
     for key in ("voxel_size", "extent"):
         value = getattr(cfg, key)
         if not (np.isfinite(value) and value > 0):
@@ -157,8 +170,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"lr must be finite, got {cfg.lr}")
     if cfg.precision not in (32, 64):
         raise ConfigError("precision must be 32 or 64")
-    if cfg.n_points < 0:
-        raise ConfigError("n_points must be >= 0")
+    if not 0 <= cfg.n_points <= MAX_POINTS:
+        raise ConfigError(f"n_points must be in 0..{MAX_POINTS}, got {cfg.n_points}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.profile not in PROFILES:

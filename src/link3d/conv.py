@@ -12,12 +12,12 @@ summation order and makes results bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .core import SparseTensor, coarsen
+from .core import SparseTensor, coarsen, probe_keys
 from .errors import ConfigError, DimensionError
 
 
@@ -53,6 +53,8 @@ class KernelMap:
     out_rows: List[np.ndarray]
     out_coords: np.ndarray           # (M, 4)
     num_in: int
+    # stride 2: the output coordinate set, whose tensors share one map cache
+    _out: Optional[SparseTensor] = field(default=None, repr=False)
 
     @property
     def num_out(self) -> int:
@@ -62,20 +64,49 @@ class KernelMap:
         return int(sum(r.shape[0] for r in self.in_rows))
 
 
+def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray):
+    """Stride-1 pair lists from one key probe per offset after the centre.
+
+    Offsets are in lexicographic order, so offset ``-o`` sits at the mirrored
+    index and its pairs are offset ``o``'s with in and out swapped; the centre
+    is the identity.  Each list is sorted by out row.
+    """
+    n = offsets.shape[0]
+    keys, order = t._sorted_keys, t._order
+    # rows in key order: both halves of a probe come out sorted by out row
+    key_ordered = bool((order[1:] > order[:-1]).all())
+    rows = np.arange(t.num_voxels, dtype=np.int64)
+    # the centre keeps these identity pairs; the loop fills every other offset
+    in_rows: List[np.ndarray] = [rows] * n
+    out_rows: List[np.ndarray] = [rows] * n
+    for o in range(n // 2 + 1, n):
+        dst, src = probe_keys(keys, keys, offsets[o])
+        if key_ordered:
+            out_rows[o], in_rows[o] = dst, src
+            out_rows[n - 1 - o], in_rows[n - 1 - o] = src, dst
+            continue
+        dst, src = order[dst], order[src]
+        by_dst, by_src = np.argsort(dst), np.argsort(src)
+        out_rows[o], in_rows[o] = dst[by_dst], src[by_dst]
+        out_rows[n - 1 - o], in_rows[n - 1 - o] = src[by_src], dst[by_src]
+    return in_rows, out_rows
+
+
 def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> KernelMap:
     """Enumerate the non-empty neighbor pairs for every output site."""
     offsets = kernel_offsets(kernel_size, stride)
     if stride == 1:
-        out_coords = t.coords
-        query_base = t.coords
-    else:
-        # sorted key order fixes the output row order
-        out_coords = coarsen(t.coords, 2)[0]
-        query_base = out_coords.copy()
-        query_base[:, 1:] *= 2
-    in_rows: List[np.ndarray] = []
-    out_rows: List[np.ndarray] = []
-    all_out = np.arange(out_coords.shape[0], dtype=np.int64)
+        in_rows, out_rows = _submanifold_pairs(t, offsets)
+        return KernelMap(kernel_size, stride, offsets, in_rows, out_rows,
+                         t.coords, t.num_voxels)
+    # coarsen's sorted keys fix the output row order
+    coarse, keys = coarsen(t.coords, 2)[:2]
+    out = SparseTensor._from_sorted(coarse, keys, np.zeros((coarse.shape[0], 0), t.dtype))
+    query_base = coarse.copy()
+    query_base[:, 1:] *= 2
+    in_rows = []
+    out_rows = []
+    all_out = np.arange(coarse.shape[0], dtype=np.int64)
     for off in offsets:
         probe = query_base.copy()
         probe[:, 1:] += off
@@ -83,15 +114,8 @@ def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> Kern
         hit = rows >= 0
         in_rows.append(rows[hit])
         out_rows.append(all_out[hit])
-    return KernelMap(
-        kernel_size=kernel_size,
-        stride=stride,
-        offsets=offsets,
-        in_rows=in_rows,
-        out_rows=out_rows,
-        out_coords=out_coords,
-        num_in=t.num_voxels,
-    )
+    return KernelMap(kernel_size, stride, offsets, in_rows, out_rows,
+                     coarse, t.num_voxels, out)
 
 
 @dataclass
@@ -146,7 +170,7 @@ def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> Spars
         out[km.out_rows[o]] += t.features[ir] @ weights[o]
     if w.bias is not None:
         out += w.bias.astype(dtype, copy=False)
-    return SparseTensor(km.out_coords, out) if km.stride == 2 else t.with_features(out)
+    return (km._out if km.stride == 2 else t).with_features(out)
 
 
 def sparse_conv_backward(grad_out: np.ndarray, t: SparseTensor, w: ConvWeights, km: KernelMap):

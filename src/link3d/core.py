@@ -123,10 +123,12 @@ class SparseTensor:
 
     ``coords`` is (N, 4) int64 with unique rows, ``features`` is (N, C) float.
     Instances are treated as immutable after construction; operators return
-    new tensors and never write into an input's arrays.
+    new tensors and never write into an input's arrays.  That is what lets
+    every tensor on one coordinate set share a cache of the kernel maps built
+    on it (``_maps``, keyed by ``(kernel_size, stride)``).
     """
 
-    __slots__ = ("coords", "features", "keys", "_order", "_sorted_keys")
+    __slots__ = ("coords", "features", "keys", "_order", "_sorted_keys", "_maps")
 
     def __init__(self, coords, features):
         self.coords = _as_coord_array(coords)
@@ -143,6 +145,19 @@ class SparseTensor:
         self._sorted_keys = self.keys[self._order]
         if self.num_voxels > 1 and (np.diff(self._sorted_keys) == 0).any():
             raise DuplicateCoordError("duplicate voxel coordinates")
+        self._maps = {}
+
+    @classmethod
+    def _from_sorted(cls, coords, keys, features) -> "SparseTensor":
+        """Tensor on ``coords`` whose packed ``keys`` are already sorted and
+        unique: no second pack, no argsort, and a new empty map cache."""
+        t = object.__new__(cls)
+        t.coords = coords
+        t.features = features
+        t.keys = t._sorted_keys = keys
+        t._order = np.arange(keys.shape[0])
+        t._maps = {}
+        return t
 
     @property
     def num_voxels(self) -> int:
@@ -166,7 +181,7 @@ class SparseTensor:
         return rows
 
     def with_features(self, features) -> "SparseTensor":
-        """New tensor on the same coordinate set (shares coords and key cache)."""
+        """New tensor on the same coordinate set (shares coords, keys and maps)."""
         feats = np.asarray(features)
         if feats.ndim != 2 or feats.shape[0] != self.num_voxels:
             raise DimensionError(
@@ -178,6 +193,7 @@ class SparseTensor:
         out.keys = self.keys
         out._order = self._order
         out._sorted_keys = self._sorted_keys
+        out._maps = self._maps
         return out
 
     def __repr__(self) -> str:
@@ -226,11 +242,6 @@ def voxelize(cloud: PointCloud, voxel_size: float, dtype=np.float32) -> SparseTe
     """
     if voxel_size <= 0:
         raise ConfigError(f"voxel_size must be > 0, got {voxel_size}")
-    if cloud.num_points == 0:
-        return SparseTensor(
-            np.zeros((0, 4), dtype=np.int64),
-            np.zeros((0, cloud.attributes.shape[1]), dtype=dtype),
-        )
     vox = np.floor(cloud.points / float(voxel_size)).astype(np.int64)
     coords = np.concatenate(
         [np.zeros((vox.shape[0], 1), dtype=np.int64), vox], axis=1
@@ -242,4 +253,4 @@ def voxelize(cloud: PointCloud, voxel_size: float, dtype=np.float32) -> SparseTe
     sums = np.zeros((uniq_keys.shape[0], cloud.attributes.shape[1]), dtype=np.float64)
     np.add.at(sums, inverse, cloud.attributes)
     means = sums / counts[:, None]
-    return SparseTensor(coords[first_rows], means.astype(dtype))
+    return SparseTensor._from_sorted(coords[first_rows], uniq_keys, means.astype(dtype))

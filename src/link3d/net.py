@@ -119,7 +119,11 @@ class SparseConv(Module):
         return {"weight": self.conv.weights, "bias": self.conv.bias}
 
     def forward(self, t: SparseTensor) -> SparseTensor:
-        km = build_kernel_map(t, self.kernel_size, self.stride)
+        # one map per coordinate set: tensors from with_features share the cache
+        key = (self.kernel_size, self.stride)
+        km = t._maps.get(key)
+        if km is None:
+            km = t._maps[key] = build_kernel_map(t, self.kernel_size, self.stride)
         self._t = t
         self._km = km
         return sparse_conv_forward(t, self.conv, km)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -91,6 +92,33 @@ def test_any_set_value_validates_or_is_a_config_error(command, key, value):
         load_config(command, None, [f"{key}={value}"], None)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize(
+    "settings,key",
+    [
+        (["channels=1025"], "channels"),
+        (["channels=1000000000000"], "channels"),
+        (["n_points=10000001"], "n_points"),
+        (["n_points=1000000000000"], "n_points"),
+        (["s=65537"], "s*r"),
+        (["s=256", "r=257"], "s*r"),
+        (["preset=detection", "r=9363"], "s*r"),
+        (["r=100000000000000000000"], "s*r"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "bench", "erf", "train-toy"])
+def test_too_large_is_one_line_config_error(command, settings, key):
+    """Validation only: these sizes are never allocated."""
+    with pytest.raises(ConfigError, match=re.escape(key)) as exc:
+        load_config(command, None, settings, None)
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("settings", [["channels=1024"], ["n_points=10000000"],
+                                      ["s=256", "r=256"], ["s=1", "r=65536"]])
+def test_ceilings_are_inclusive(settings):
+    load_config("verify", None, settings, None)
 
 
 class TestVerifyCommand:

@@ -53,6 +53,30 @@ class TestKernelMap:
         km = build_kernel_map(t, 3, 1)
         assert km.out_coords is t.coords
 
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_row_permutation_permutes_the_map(self, rng, kernel):
+        # pairs stay sorted by out row, which fixes grad_weights' summation order
+        t = make_scene(rng, 300, 8, 1, batches=2)
+        perm = rng.permutation(t.num_voxels)
+        row_of = np.argsort(perm)        # row in t -> row in the permuted tensor
+        km = build_kernel_map(t, kernel, 1)
+        kp = build_kernel_map(SparseTensor(t.coords[perm], t.features[perm]), kernel, 1)
+        for o in range(km.offsets.shape[0]):
+            assert (np.diff(km.out_rows[o]) > 0).all()
+            by_out = np.argsort(row_of[km.out_rows[o]])
+            assert np.array_equal(kp.out_rows[o], row_of[km.out_rows[o]][by_out])
+            assert np.array_equal(kp.in_rows[o], row_of[km.in_rows[o]][by_out])
+
+    def test_row_permutation_keeps_the_downsample_outputs(self, rng):
+        t = make_scene(rng, 300, 8, 1, batches=2)
+        perm = rng.permutation(t.num_voxels)
+        km = build_kernel_map(t, 2, 2)
+        kp = build_kernel_map(SparseTensor(t.coords[perm], t.features[perm]), 2, 2)
+        assert np.array_equal(kp.out_coords, km.out_coords)
+        for o in range(km.offsets.shape[0]):
+            assert np.array_equal(kp.out_rows[o], km.out_rows[o])
+            assert np.array_equal(kp.in_rows[o], np.argsort(perm)[km.in_rows[o]])
+
     def test_downsample_two_voxels_merge(self):
         t = SparseTensor([(0, 0, 0, 0), (0, 1, 1, 1)], np.ones((2, 1)))
         km = build_kernel_map(t, 2, 2)

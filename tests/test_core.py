@@ -183,6 +183,17 @@ class TestVoxelize:
     def test_empty_cloud(self):
         t = voxelize(PointCloud(np.zeros((0, 3)), np.zeros((0, 1))), 0.05)
         assert t.num_voxels == 0
+        assert t.coords.shape == (0, 4) and t.features.shape == (0, 1)
+        assert t.lookup(np.zeros((1, 4), dtype=np.int64)).tolist() == [-1]
+
+    def test_key_cache_equals_a_fresh_tensor(self, rng):
+        # voxelize reuses its sorted unique keys instead of packing and sorting again
+        points = rng.uniform(-1, 1, size=(500, 3))
+        t = voxelize(PointCloud(points, rng.uniform(size=(500, 2))), 0.1)
+        fresh = SparseTensor(t.coords, t.features)
+        for name in ("keys", "_order", "_sorted_keys"):
+            a, b = getattr(t, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_out_of_bounds_point(self):
         with pytest.raises(BoundsError):

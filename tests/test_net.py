@@ -12,9 +12,10 @@ from link3d import (
     erf_mass_radius,
     toy_train,
 )
+from link3d import net
 from link3d.core import coarsen
 from link3d.layers import layer_norm_forward
-from link3d.net import EncoderConfig, LinKModule, ResidualBlock, SegModel
+from link3d.net import EncoderConfig, LinKModule, ResidualBlock, SegModel, SparseConv
 from conftest import make_scene
 from oracles import compare_sampled, dense_conv_oracle, fd_grad, loop_majority
 
@@ -154,6 +155,49 @@ class TestEncoder:
     def test_requires_four_stages(self):
         with pytest.raises(ConfigError):
             EncoderConfig(stage_channels=(8, 8, 8))
+
+
+class TestKernelMapCache:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """(kernel_size, stride) of every map the network builds."""
+        calls = []
+        build = net.build_kernel_map
+
+        def counting(t, kernel_size, stride=1):
+            calls.append((kernel_size, stride))
+            return build(t, kernel_size, stride)
+
+        monkeypatch.setattr(net, "build_kernel_map", counting)
+        return calls
+
+    def test_encoder_builds_each_map_once(self, rng, builds):
+        t = make_scene(rng, 400, 12, 1)
+        enc = build_encoder(small_config(), seed=0)
+        first = enc.forward(t)
+        # the stem and each stage's set: one 3^3 map; each downsample: one 2^3 map
+        assert sorted(builds) == [(2, 2)] * 4 + [(3, 1)] * 5
+        builds.clear()
+        second = enc.forward(t)
+        assert builds == []
+        for a, b in zip(first, second):
+            assert np.array_equal(a.coords, b.coords)
+            assert np.array_equal(a.features, b.features)
+
+    def test_cache_follows_the_coordinate_set(self, rng, builds):
+        t = make_scene(rng, 200, 8, 2)
+        conv = SparseConv(3, 2, 2, rng)
+        twin = t.with_features(2 * t.features)
+        fresh = SparseTensor(t.coords, t.features)
+        assert twin._maps is t._maps and fresh._maps is not t._maps
+        conv.forward(t)
+        conv.forward(twin)
+        assert len(builds) == 1
+        conv.forward(fresh)
+        assert len(builds) == 2
+        down = SparseConv(2, 2, 2, rng, stride=2)
+        d1, d2 = down.forward(t), down.forward(twin)
+        assert len(builds) == 3 and d1._maps is d2._maps
 
 
 class TestEndToEndGradients:
