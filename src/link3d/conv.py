@@ -8,6 +8,22 @@ coordinate set equals the input's, so sparsity never dilates.  Stride 2 with a
 Pair lists in the kernel map are sorted by (out_row, in_row) and offsets are
 iterated in a fixed lexicographic order, which pins the floating-point
 summation order and makes results bit-reproducible.
+
+Forward and the features' gradient are one gather-GEMM-accumulate loop
+(``_accumulate``): for each offset in turn, ``out[dst] += x[src] @ W[o]``.
+The GEMM always runs over exactly the offset's gathered pairs, so each
+product row has the same bits whatever the BLAS does with matrix shape.  How
+the product is added depends on how many out rows the offset covers:
+
+1. all of them, in row order (the centre of a stride-1 map): ``out += prod``;
+2. at least half: every out row adds its product row, or an appended zero
+   row where the offset misses it, with no scatter;
+3. fewer: the covered out rows are gathered, added to and scattered back as
+   whole rows.
+
+Paths 1 and 2 are exact: an accumulator starts at +0.0 and a sum of floats
+is -0.0 only if both terms are, so no out row ever holds -0.0, and adding
++0.0 to it leaves its bits unchanged.
 """
 
 from __future__ import annotations
@@ -151,6 +167,38 @@ class ConvWeights:
         return cls(w, np.zeros(c_out, dtype=dtype))
 
 
+def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights: np.ndarray):
+    """``out[dst_rows[o]] += x[src_rows[o]] @ weights[o]`` for each offset o in turn.
+
+    Each offset takes one of the three paths in the module docstring, chosen
+    by how many of ``out``'s rows it covers.
+    """
+    n_out = out.shape[0]
+    if out.size == 0:
+        return
+    # one void item per row: the scatter moves whole rows
+    rows = out.view(np.dtype((np.void, out.dtype.itemsize * out.shape[1])))[:, 0]
+    for o, (src, dst) in enumerate(zip(src_rows, dst_rows)):
+        n = dst.shape[0]
+        if n == 0:
+            continue
+        gathered = np.take(x, src, axis=0)
+        if 2 * n < n_out:
+            acc = np.take(out, dst, axis=0)
+            acc += gathered @ weights[o]
+            rows[dst] = acc.view(rows.dtype)[:, 0]
+        elif n == n_out and (dst[1:] > dst[:-1]).all():
+            out += gathered @ weights[o]
+        else:
+            # the pairs' product, then one zero row for the out rows it misses
+            prod = np.empty((n + 1, out.shape[1]), out.dtype)
+            np.matmul(gathered, weights[o], out=prod[:n])
+            prod[n] = 0
+            index = np.full(n_out, n, dtype=np.int64)
+            index[dst] = np.arange(n)
+            out += np.take(prod, index, axis=0)
+
+
 def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> SparseTensor:
     """Apply the kernel over the precomputed pair lists."""
     if km.offsets.shape[0] != w.weights.shape[0]:
@@ -161,13 +209,7 @@ def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> Spars
         raise DimensionError("kernel map was built for a different tensor")
     dtype = t.dtype
     out = np.zeros((km.num_out, w.c_out), dtype=dtype)
-    weights = w.weights.astype(dtype, copy=False)
-    for o in range(km.offsets.shape[0]):
-        ir = km.in_rows[o]
-        if ir.shape[0] == 0:
-            continue
-        # within one offset every out_row is unique, so fancy += is exact
-        out[km.out_rows[o]] += t.features[ir] @ weights[o]
+    _accumulate(out, t.features, km.in_rows, km.out_rows, w.weights.astype(dtype, copy=False))
     if w.bias is not None:
         out += w.bias.astype(dtype, copy=False)
     return (km._out if km.stride == 2 else t).with_features(out)
@@ -184,16 +226,14 @@ def sparse_conv_backward(grad_out: np.ndarray, t: SparseTensor, w: ConvWeights, 
             f"grad_out shape {grad_out.shape} != ({km.num_out}, {w.c_out})"
         )
     dtype = t.dtype
+    # one rounding on entry: every product below is in the tensor's dtype
+    grad_out = grad_out.astype(dtype, copy=False)
     weights = w.weights.astype(dtype, copy=False)
-    grad_features = np.zeros_like(t.features)
+    grad_features = np.zeros(t.features.shape, dtype)
+    _accumulate(grad_features, grad_out, km.out_rows, km.in_rows, weights.transpose(0, 2, 1))
     grad_weights = np.zeros_like(weights)
-    for o in range(km.offsets.shape[0]):
-        ir = km.in_rows[o]
-        if ir.shape[0] == 0:
-            continue
-        g = grad_out[km.out_rows[o]]
-        # in_rows are also unique within one offset (the offset map is injective)
-        grad_features[ir] += g @ weights[o].T
-        grad_weights[o] = t.features[ir].T @ g
+    for o, (ir, orow) in enumerate(zip(km.in_rows, km.out_rows)):
+        if ir.shape[0]:
+            grad_weights[o] = np.take(t.features, ir, axis=0).T @ np.take(grad_out, orow, axis=0)
     grad_bias = grad_out.sum(axis=0) if w.bias is not None else None
     return grad_features, grad_weights, grad_bias

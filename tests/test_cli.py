@@ -121,6 +121,29 @@ def test_ceilings_are_inclusive(settings):
     load_config("verify", None, settings, None)
 
 
+@pytest.mark.parametrize(
+    "command,settings",
+    [
+        ("erf", [f"seed={2 ** 128 + 1}"]),
+        ("train-toy", [f"seed={2 ** 128 + 1}", "steps=1"]),
+        ("train-toy", [f"max_voxels={10 ** 23}", "steps=1"]),
+    ],
+)
+def test_huge_uncapped_values_run(command, settings, tmp_path, capsys):
+    """``seed`` and ``max_voxels`` have no ceiling: values far past any size
+    still run to exit 0 without a traceback."""
+    args = [command, "--set", "n_points=200", "--out", str(tmp_path / "out.csv")]
+    for setting in settings:
+        args += ["--set", setting]
+    assert run(args) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_huge_steps_is_accepted():
+    """Validation only: ``steps`` has no ceiling, and nothing runs here."""
+    assert load_config("train-toy", None, [f"steps={10 ** 23}"], None).steps == 10 ** 23
+
+
 class TestVerifyCommand:
     def test_default_pure_passes(self, capsys):
         assert run(["verify"]) == EXIT_OK

@@ -247,6 +247,110 @@ class TestBackward:
             sparse_conv_backward(np.zeros((km.num_out, 5)), t, w, km)
 
 
+def reference_conv(t, w, km, grad_out):
+    """The per-offset formula the shared primitive replaced: a fancy get, add
+    and set of out rows for each offset, and the same loop by hand for the
+    features' gradient.  Returns (out, grad_features, grad_weights)."""
+    weights = w.weights.astype(t.dtype)
+    out = np.zeros((km.num_out, w.c_out), t.dtype)
+    grad_features = np.zeros_like(t.features)
+    grad_weights = np.zeros_like(weights)
+    for o, (ir, orow) in enumerate(zip(km.in_rows, km.out_rows)):
+        if ir.shape[0] == 0:
+            continue
+        out[orow] += t.features[ir] @ weights[o]
+        g = grad_out[orow]
+        grad_features[ir] += g @ weights[o].T
+        grad_weights[o] = t.features[ir].T @ g
+    out += w.bias.astype(t.dtype)
+    return out, grad_features, grad_weights
+
+
+def filled_block(edge, channels, dtype, rng, step=1):
+    """Every voxel of an ``edge``^3 cube (coordinates ``step`` apart)."""
+    axis = np.arange(edge) * step
+    xyz = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    coords = np.concatenate([np.zeros((xyz.shape[0], 1), np.int64), xyz], axis=1)
+    return SparseTensor(coords, rng.normal(size=(coords.shape[0], channels)).astype(dtype))
+
+
+def permuted(t, rng):
+    perm = rng.permutation(t.num_voxels)
+    return SparseTensor(t.coords[perm], t.features[perm])
+
+
+# Scenes chosen so that every accumulation path runs: a filled 6^3 block
+# covers at least half of the rows at every stride-1 offset; a sparse
+# two-batch scene covers fewer than half at every offset but the centre; an
+# even-coordinate block at stride 2 covers every fine row from one offset,
+# in a row order the permutation scrambles.
+SCENES = {
+    "block": lambda c, dt, rng: filled_block(6, c, dt, rng),
+    "sparse": lambda c, dt, rng: make_scene(rng, 300, 8, c, dt, batches=2),
+    "permuted-block": lambda c, dt, rng: permuted(filled_block(6, c, dt, rng), rng),
+    "permuted-sparse": lambda c, dt, rng: permuted(make_scene(rng, 300, 8, c, dt, batches=2), rng),
+    "permuted-even-block": lambda c, dt, rng: permuted(filled_block(3, c, dt, rng, step=2), rng),
+}
+
+
+class TestSharedPrimitive:
+    """Forward and backward are byte-equal to the per-offset formula on every
+    accumulation path: all rows covered, at least half, and fewer."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in,c_out", [(3, 4), (1, 4), (4, 1)])
+    @pytest.mark.parametrize("scene,stride", [
+        ("block", 1), ("sparse", 1), ("permuted-block", 1), ("permuted-sparse", 1),
+        ("block", 2), ("sparse", 2), ("permuted-even-block", 2),
+    ])
+    def test_byte_equal_to_the_per_offset_formula(self, scene, stride, c_in, c_out, dtype):
+        rng = np.random.default_rng(11)
+        t = SCENES[scene](c_in, dtype, rng)
+        kernel = 3 if stride == 1 else 2
+        w = ConvWeights.random(kernel, c_in, c_out, rng, stride=stride, dtype=dtype)
+        w.bias[:] = rng.normal(size=c_out)
+        km = build_kernel_map(t, kernel, stride)
+        grad_out = rng.normal(size=(km.num_out, c_out)).astype(dtype)
+        out, grad_features, grad_weights = reference_conv(t, w, km, grad_out)
+        got = sparse_conv_forward(t, w, km).features
+        gf, gw, _ = sparse_conv_backward(grad_out, t, w, km)
+        for a, b in ((got, out), (gf, grad_features), (gw, grad_weights)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_scenes_reach_every_path(self):
+        rng = np.random.default_rng(11)
+
+        def fractions(t, kernel, stride):
+            km = build_kernel_map(t, kernel, stride)
+            fwd = [len(r) / km.num_out for r in km.out_rows if len(r)]
+            bwd = [len(r) / km.num_in for r in km.in_rows if len(r)]
+            return sorted(fwd), sorted(bwd)
+
+        # the last fraction is the centre's, which covers every row
+        fwd, bwd = fractions(SCENES["block"](1, np.float64, rng), 3, 1)
+        assert fwd == bwd and fwd[-1] == 1.0 and 0.5 <= fwd[0] <= fwd[-2] < 1.0
+        fwd, bwd = fractions(SCENES["sparse"](1, np.float64, rng), 3, 1)
+        assert fwd == bwd and fwd[-1] == 1.0 and fwd[-2] < 0.5
+        t = SCENES["permuted-even-block"](1, np.float64, rng)
+        fwd, bwd = fractions(t, 2, 2)
+        assert fwd == [1.0] and bwd == [1.0]
+        in_rows = next(r for r in build_kernel_map(t, 2, 2).in_rows if len(r))
+        assert (np.diff(in_rows) < 0).any()
+
+    def test_float64_grad_out_on_float32_tensor(self, rng):
+        # grad_out is rounded to the tensor's dtype once, on entry
+        t = make_scene(rng, 200, 8, 3, np.float32)
+        w = ConvWeights.random(3, 3, 4, rng, dtype=np.float32)
+        km = build_kernel_map(t, 3, 1)
+        g64 = rng.normal(size=(km.num_out, 4))
+        got = sparse_conv_backward(g64, t, w, km)
+        want = sparse_conv_backward(g64.astype(np.float32), t, w, km)
+        for a, b in zip(got, want):
+            assert a.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
+
+
 class TestResidualBlock:
     def test_zero_weights_is_relu(self, rng):
         # zero convs and zero norm scale/shift leave only the skip

@@ -1,17 +1,21 @@
-"""Property-based checks of the LinK operator over generated scenes.
+"""Property-based checks of the LinK operator and the sparse convolution
+over generated scenes.
 
-Scenes vary the block size s in 1..7, the neighbor range r in 1..5, the group
-count, the kernel mode, normalization and 1-3 batches, each of which is
-empty, a single voxel or a small cluster placed at either edge of the
-packable box or near the origin.  Runs are derandomized, so every run of one
-Hypothesis version checks the same examples.
+LinK scenes vary the block size s in 1..7, the neighbor range r in 1..5, the
+group count, the kernel mode, normalization and 1-3 batches, each of which
+is empty, a single voxel or a small cluster placed at either edge of the
+packable box or near the origin.  Convolution scenes vary the stride, the
+kernel size, the channel counts, the batches and how densely a cluster
+fills its box.  Runs are derandomized, so every run of one Hypothesis
+version checks the same examples.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from link3d import COORD_BOUND, KernelGenerator, LinKConfig, SparseTensor
-from link3d import link_backward, link_forward, link_oracle
+from link3d import COORD_BOUND, ConvWeights, KernelGenerator, LinKConfig, SparseTensor
+from link3d import build_kernel_map, link_backward, link_forward, link_oracle
+from link3d import sparse_conv_backward, sparse_conv_forward
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 PLACEMENTS = ("low", "high", "origin")
@@ -99,3 +103,47 @@ def test_backward_is_adjoint(case):
     rhs = float((t.features * grad_features).sum())
     scale = float(np.abs(out.features * g).sum() + np.abs(t.features * grad_features).sum())
     assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
+
+
+@st.composite
+def conv_cases(draw):
+    """(tensor, bias-free weights, kernel map) on float64 features.
+
+    Each batch is a cluster of up to ``MAX_CLUSTER`` voxels in a box of edge
+    1..8, so offsets cover anything from none to all of the rows; rows are
+    shuffled out of key order.
+    """
+    stride = draw(st.sampled_from([1, 2]))
+    kernel = draw(st.sampled_from([1, 3, 5])) if stride == 1 else 2
+    c_in, c_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    span = draw(st.integers(1, 8))
+    placements = [draw(st.sampled_from(PLACEMENTS)) for _ in range(3)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for batch in range(draw(st.integers(1, 3))):
+        xyz = np.unique(rng.integers(0, span, size=(draw(st.integers(1, MAX_CLUSTER)), 3)),
+                        axis=0)
+        for axis, placement in enumerate(placements):
+            xyz = place(xyz, axis, placement, span)
+        parts.append(np.concatenate([np.full((xyz.shape[0], 1), batch), xyz], axis=1))
+    coords = rng.permutation(np.concatenate(parts))
+    t = SparseTensor(coords, rng.normal(size=(coords.shape[0], c_in)))
+    w = ConvWeights.random(kernel, c_in, c_out, rng, stride=stride)
+    return t, ConvWeights(w.weights), build_kernel_map(t, kernel, stride)
+
+
+@SETTINGS
+@given(conv_cases())
+def test_conv_backward_is_adjoint(case):
+    """<C f, g> == <f, C^T g> for the features' gradient, and the same
+    identity for the weights' gradient, at stride 1 and 2."""
+    t, w, km = case
+    out = sparse_conv_forward(t, w, km).features
+    g = np.random.default_rng(t.num_voxels).normal(size=out.shape)
+    grad_features, grad_weights, grad_bias = sparse_conv_backward(g, t, w, km)
+    assert grad_bias is None
+    lhs = float((out * g).sum())
+    for arg, grad in ((t.features, grad_features), (w.weights, grad_weights)):
+        rhs = float((arg * grad).sum())
+        scale = float(np.abs(out * g).sum() + np.abs(arg * grad).sum())
+        assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
