@@ -38,7 +38,6 @@ from .link import (
     KernelGenerator,
     LinKConfig,
     LinKState,
-    ProxySet,
     anchored_xyz,
     count_dense_kernel_params,
     count_generator_params,
@@ -46,7 +45,6 @@ from .link import (
     link_backward,
     link_forward,
     link_oracle,
-    neighbor_offsets,
     partition_blocks,
     pull,
     push_proxies,

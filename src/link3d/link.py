@@ -2,9 +2,10 @@
 
 Instead of storing a dense kernel tensor, each voxel gets a cos/sin weight
 pair from a small linear map over its integer coordinates.  Voxels push their
-weighted features into one proxy per block (an s^3 cube of the grid), blocks
-sum the proxies of their r^3 neighborhood, and each voxel pulls its output
-from its own block's gathered sums.  The cos/sin product identity
+weighted features into one proxy per block (an s^3 cube of the grid), a
+``[cos | sin]`` row of sums; blocks sum the proxies of their r^3
+neighborhood, and each voxel pulls its output from its own block's gathered
+sums.  The cos/sin product identity
 
     cos(a - b) = cos(a) cos(b) + sin(a) sin(b)
 
@@ -32,6 +33,7 @@ canonical per-batch choice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -226,38 +228,21 @@ def neighbor_window(neighbor_range: int) -> Tuple[int, int]:
     return lo, lo + r - 1
 
 
-def neighbor_offsets(neighbor_range: int) -> np.ndarray:
-    """Block-offset cube of edge r, the window of :func:`neighbor_window` per axis."""
-    lo, hi = neighbor_window(neighbor_range)
-    axis = np.arange(lo, hi + 1, dtype=np.int64)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    return grid.reshape(-1, 3)
-
-
-@dataclass
-class ProxySet:
-    """Per-block push sums of member voxels' kernel-weighted features."""
-
-    proxy_cos: np.ndarray       # (M, C)
-    proxy_sin: np.ndarray       # (M, C)
-
-
 def push_proxies(
     part: BlockPartition, features: np.ndarray, k_cos: np.ndarray, k_sin: np.ndarray
-) -> ProxySet:
-    """Deposit every voxel's kernel-weighted feature into its block proxy."""
+) -> np.ndarray:
+    """Deposit every voxel's kernel-weighted feature into its block proxy.
+
+    Returns the per-block sums as one (M, 2C) array, ``[cos | sin]``.
+    """
     n = part.voxel_block.shape[0]
     if features.shape[0] != n or k_cos.shape != features.shape or k_sin.shape != features.shape:
         raise DimensionError("features and kernel weights must share shape (N, C)")
-    wc = (k_cos * features)[part.row_order]
-    ws = (k_sin * features)[part.row_order]
-    if n == 0:
-        c = features.shape[1]
-        zero = np.zeros((0, c), dtype=features.dtype)
-        return ProxySet(zero, zero.copy())
-    proxy_cos = np.add.reduceat(wc, part.segment_starts, axis=0)
-    proxy_sin = np.add.reduceat(ws, part.segment_starts, axis=0)
-    return ProxySet(proxy_cos, proxy_sin)
+    c = features.shape[1]
+    proxies = np.empty((part.num_blocks, 2 * c), dtype=np.result_type(k_cos, features))
+    for half, k in ((proxies[:, :c], k_cos), (proxies[:, c:], k_sin)):
+        np.add.reduceat((k * features)[part.row_order], part.segment_starts, axis=0, out=half)
+    return proxies
 
 
 class GatherSets(NamedTuple):
@@ -266,24 +251,20 @@ class GatherSets(NamedTuple):
 
     along_zy: np.ndarray   # occupied blocks dilated along z, then along y
     along_z: np.ndarray    # occupied blocks dilated along z
-    proxy_reads: int       # proxy rows the first (x) pass read
 
 
 def _box_pass(dst_keys, src_keys, src_vals, axis: int, lo: int, hi: int):
     """1-D box sum: row i sums ``src_vals`` at dst_keys[i] + lo..hi along ``axis``.
 
-    Offsets are added in ascending order.  Returns the sums and the number of
-    source rows read.
+    Offsets are added in ascending order.
     """
     out = np.zeros((dst_keys.shape[0], src_vals.shape[1]), dtype=src_vals.dtype)
     offset = [0, 0, 0]
-    reads = 0
     for d in range(lo, hi + 1):
         offset[axis] = d
         rows, src = probe_keys(dst_keys, src_keys, offset)
         out[rows] += src_vals[src]
-        reads += rows.shape[0]
-    return out, reads
+    return out
 
 
 def _box_sum(values, keys, along_zy, along_z, lo: int, hi: int, adjoint=False):
@@ -292,23 +273,20 @@ def _box_sum(values, keys, along_zy, along_z, lo: int, hi: int, adjoint=False):
     Three 1-D passes: x onto ``along_zy``, y onto ``along_z``, z onto the
     blocks' own ``keys``.  With ``adjoint`` the passes run transposed, z then
     y then x over the reflected window [-hi, -lo], which computes the
-    transpose of the forward sum exactly.  Returns the sums and the number of
-    rows the first pass read.
+    transpose of the forward sum exactly.
     """
     passes = [(along_zy, keys, 0), (along_z, along_zy, 1), (keys, along_z, 2)]
     if adjoint:
         passes = [(src, dst, axis) for dst, src, axis in reversed(passes)]
         lo, hi = -hi, -lo
-    reads = []
     for dst, src, axis in passes:
-        values, n = _box_pass(dst, src, values, axis, lo, hi)
-        reads.append(n)
-    return values, reads[0]
+        values = _box_pass(dst, src, values, axis, lo, hi)
+    return values
 
 
 def _gather(
     part: BlockPartition,
-    proxies: ProxySet,
+    proxies: np.ndarray,
     neighbor_range: int,
     drop_offset: Optional[Tuple[int, int, int]] = None,
 ):
@@ -325,25 +303,19 @@ def _gather(
     keys = part.block_keys
     along_z = dilate_keys(keys, 2, lo, hi)
     along_zy = dilate_keys(along_z, 1, lo, hi)
-    c = proxies.proxy_cos.shape[1]
+    c = proxies.shape[1] // 2
     stacked = np.concatenate(
-        [
-            proxies.proxy_cos,
-            proxies.proxy_sin,
-            part.populations[:, None].astype(proxies.proxy_cos.dtype),
-        ],
-        axis=1,
+        [proxies, part.populations[:, None].astype(proxies.dtype)], axis=1
     )
-    sums, reads = _box_sum(stacked, keys, along_zy, along_z, lo, hi)
+    sums = _box_sum(stacked, keys, along_zy, along_z, lo, hi)
     if drop_offset is not None and all(lo <= d <= hi for d in drop_offset):
         rows, src = probe_keys(keys, keys, drop_offset)
         sums[rows] -= stacked[src]
     count = np.rint(sums[:, 2 * c]).astype(np.int64)
-    return sums[:, :c], sums[:, c : 2 * c], count, GatherSets(along_zy, along_z, reads)
+    return sums[:, :c], sums[:, c : 2 * c], count, GatherSets(along_zy, along_z)
 
 
 def pull(
-    t: SparseTensor,
     part: BlockPartition,
     g_cos: np.ndarray,
     g_sin: np.ndarray,
@@ -351,13 +323,13 @@ def pull(
     k_cos: np.ndarray,
     k_sin: np.ndarray,
     normalize: bool = True,
-) -> SparseTensor:
-    """Reconstruct per-voxel aggregates from the block sums ``_gather`` returns."""
+) -> np.ndarray:
+    """Per-voxel aggregates, (N, C), from the block sums ``_gather`` returns."""
     b = part.voxel_block
     out = g_cos[b] * k_cos + g_sin[b] * k_sin
     if normalize:
         out = out / count[b][:, None].astype(out.dtype)
-    return t.with_features(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +417,8 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
     part = partition_blocks(t, cfg.block_size)
     proxies = push_proxies(part, t.features.astype(work, copy=False), k_cos, k_sin)
     g_cos, g_sin, count, sets = _gather(part, proxies, cfg.neighbor_range)
-    pulled = pull(t, part, g_cos, g_sin, count, k_cos, k_sin, cfg.normalize)
-    out = t.with_features(pulled.features.astype(t.dtype, copy=False))
+    pulled = pull(part, g_cos, g_sin, count, k_cos, k_sin, cfg.normalize)
+    out = t.with_features(pulled.astype(t.dtype, copy=False))
     if not return_state:
         return out
     state = LinKState(
@@ -498,17 +470,13 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
     c = g.shape[1]
     lo, hi = neighbor_window(cfg.neighbor_range)
     sets = state.gather_sets
-    dproxy, _ = _box_sum(
-        np.concatenate([dg.proxy_cos, dg.proxy_sin], axis=1),
-        part.block_keys, sets.along_zy, sets.along_z, lo, hi, adjoint=True,
-    )
+    dproxy = _box_sum(dg, part.block_keys, sets.along_zy, sets.along_z, lo, hi, adjoint=True)
     dproxy_cos, dproxy_sin = dproxy[:, :c], dproxy[:, c:]
 
     # push: proxy = sum over members of k * f; its adjoint is a pull
     grad_features = pull(
-        t, part, dproxy_cos, dproxy_sin, state.count, state.k_cos, state.k_sin,
-        normalize=False,
-    ).features
+        part, dproxy_cos, dproxy_sin, state.count, state.k_cos, state.k_sin, normalize=False
+    )
     dk_cos += dproxy_cos[b] * features
     dk_sin += dproxy_sin[b] * features
 
@@ -554,7 +522,7 @@ def _oracle_block(out, rows, nb_rows, features, k_cos, k_sin, normalize):
         out[sub] = (kappa * fv[None, :, :]).sum(axis=1) / denom
 
 
-def link_oracle(t: SparseTensor, cfg: LinKConfig, return_stats: bool = False):
+def link_oracle(t: SparseTensor, cfg: LinKConfig):
     """Direct pairwise aggregation over each voxel's block neighborhood.
 
     Quadratic in the neighborhood population, intended as a test and
@@ -578,9 +546,9 @@ def link_oracle(t: SparseTensor, cfg: LinKConfig, return_stats: bool = False):
     part = partition_blocks(t, cfg.block_size)
     block_ids = {tuple(bc): i for i, bc in enumerate(part.block_coords)}
     members = np.split(part.row_order, part.segment_starts[1:])
-    offsets = neighbor_offsets(cfg.neighbor_range)
+    lo, hi = neighbor_window(cfg.neighbor_range)
+    offsets = list(itertools.product(range(lo, hi + 1), repeat=3))
     out = np.zeros_like(features)
-    pair_count = 0
     for i in range(part.num_blocks):
         batch, bx, by, bz = part.block_coords[i]
         nb_rows = []
@@ -589,10 +557,5 @@ def link_oracle(t: SparseTensor, cfg: LinKConfig, return_stats: bool = False):
             if j is not None:
                 nb_rows.append(members[j])
         nb = np.concatenate(nb_rows)
-        rows = members[i]
-        pair_count += rows.shape[0] * nb.shape[0]
-        _oracle_block(out, rows, nb, features, k_cos, k_sin, cfg.normalize)
-    result = t.with_features(out.astype(t.dtype, copy=False))
-    if return_stats:
-        return result, pair_count
-    return result
+        _oracle_block(out, members[i], nb, features, k_cos, k_sin, cfg.normalize)
+    return t.with_features(out.astype(t.dtype, copy=False))

@@ -1,11 +1,11 @@
 """Encoder built from the large-kernel operator, plus ERF probing and toy training.
 
-Topology: a stem of two submanifold 3^3 convolutions, then four stages of
-[stride-2 downsample -> residual branch + large-kernel module], branch
-outputs combined by element-wise sum.  Every norm is a per-voxel LayerNorm
-over channels.  All layers carry hand-written backward passes so the whole
-stack can be gradient-checked against finite differences and trained with
-plain gradient descent.
+Topology: a stem of two submanifold 3^3 conv-norm-ReLU layers, then four
+stages of [stride-2 conv-norm-ReLU downsample -> residual branch +
+large-kernel module], branch outputs combined by element-wise sum.  Every
+norm is a per-voxel LayerNorm over channels.  All layers carry hand-written
+backward passes so the whole stack can be gradient-checked against finite
+differences and trained with plain gradient descent.
 
 Layer instances cache forward intermediates on themselves; use one model
 instance per thread.
@@ -159,8 +159,7 @@ class Norm(Module):
 class LinKOp(Module):
     """The generated-kernel block-proxy operator as a trainable layer."""
 
-    def __init__(self, channels, block_size, neighbor_range, mode, groups, rng,
-                 normalize=True):
+    def __init__(self, channels, block_size, neighbor_range, mode, groups, rng):
         super().__init__()
         self.generator = KernelGenerator.create(
             channels,
@@ -173,7 +172,6 @@ class LinKOp(Module):
             block_size=block_size,
             neighbor_range=neighbor_range,
             generator=self.generator,
-            normalize=normalize,
         )
 
     def _params(self):
@@ -287,12 +285,13 @@ class LinKModule(Module):
         return gin
 
 
-class Downsample(Module):
-    """K=2 stride-2 conv, LayerNorm, ReLU; coords become floor(coord / 2)."""
+class ConvNormReLU(Module):
+    """Sparse conv, LayerNorm, ReLU: a stem layer (3^3, stride 1) or a stage's
+    downsample (K=2, stride 2, coords become floor(coord / 2))."""
 
-    def __init__(self, c_in, c_out, rng, dtype=np.float64):
+    def __init__(self, kernel_size, c_in, c_out, rng, stride=1, dtype=np.float64):
         super().__init__()
-        self.conv = SparseConv(2, c_in, c_out, rng, stride=2, dtype=dtype)
+        self.conv = SparseConv(kernel_size, c_in, c_out, rng, stride=stride, dtype=dtype)
         self.norm = Norm(c_out, dtype=dtype)
 
     def _children(self):
@@ -316,7 +315,7 @@ class Stage(Module):
     def __init__(self, c_in, c_out, block_size, neighbor_range, mode, groups, rng,
                  link_enabled=True, dtype=np.float64):
         super().__init__()
-        self.down = Downsample(c_in, c_out, rng, dtype)
+        self.down = ConvNormReLU(2, c_in, c_out, rng, stride=2, dtype=dtype)
         self.residual = ResidualBranch(c_out, rng, dtype)
         self.link_module = LinKModule(
             c_out, block_size, neighbor_range, mode, groups, rng, link_enabled, dtype,
@@ -366,10 +365,8 @@ class Encoder(Module):
         super().__init__()
         dt = cfg.dtype
         self.cfg = cfg
-        self.stem_conv1 = SparseConv(3, cfg.in_channels, cfg.stem_channels, rng, dtype=dt)
-        self.stem_norm1 = Norm(cfg.stem_channels, dtype=dt)
-        self.stem_conv2 = SparseConv(3, cfg.stem_channels, cfg.stem_channels, rng, dtype=dt)
-        self.stem_norm2 = Norm(cfg.stem_channels, dtype=dt)
+        self.stem1 = ConvNormReLU(3, cfg.in_channels, cfg.stem_channels, rng, dtype=dt)
+        self.stem2 = ConvNormReLU(3, cfg.stem_channels, cfg.stem_channels, rng, dtype=dt)
         self.stages: List[Stage] = []
         c_prev = cfg.stem_channels
         for i, c in enumerate(cfg.stage_channels):
@@ -382,8 +379,7 @@ class Encoder(Module):
             c_prev = c
 
     def _children(self):
-        kids = [("stem_conv1", self.stem_conv1), ("stem_conv2", self.stem_conv2),
-                ("stem_norm1", self.stem_norm1), ("stem_norm2", self.stem_norm2)]
+        kids = [("stem1", self.stem1), ("stem2", self.stem2)]
         for i, s in enumerate(self.stages):
             kids.append((f"stage{i + 1}", s))
         return kids
@@ -393,13 +389,7 @@ class Encoder(Module):
         n_stages = len(self.stages) if n_stages is None else n_stages
         if not 1 <= n_stages <= len(self.stages):
             raise ConfigError(f"n_stages must be in [1, {len(self.stages)}]")
-        h = self.stem_conv1.forward(t).features
-        h = self.stem_norm1.forward(h)
-        self._stem_pre1 = h
-        h = self.stem_conv2.forward(t.with_features(relu(h))).features
-        h = self.stem_norm2.forward(h)
-        self._stem_pre2 = h
-        x = t.with_features(relu(h))
+        x = self.stem2.forward(self.stem1.forward(t))
         outs = []
         for stage in self.stages[:n_stages]:
             x = stage.forward(x)
@@ -427,12 +417,7 @@ class Encoder(Module):
                 g = self.stages[i].backward(g)
         if g is None:
             raise ConfigError("at least one stage gradient is required")
-        g = relu_backward(g, self._stem_pre2)
-        g = self.stem_norm2.backward(g)
-        g = self.stem_conv2.backward(g)
-        g = relu_backward(g, self._stem_pre1)
-        g = self.stem_norm1.backward(g)
-        return self.stem_conv1.backward(g)
+        return self.stem1.backward(self.stem2.backward(g))
 
 
 def build_encoder(cfg: EncoderConfig, seed: int = 0) -> Encoder:

@@ -155,20 +155,24 @@ class TestCostIndependence:
         t = t.with_features(rng.normal(size=(t.num_voxels, 4)).astype(np.float32))
         assert t.num_voxels >= 100_000
 
+        ranges = (1, 3, 5)
+        cfgs = {r: LinKConfig(7, r, KernelGenerator.create(4, 2, "pure", 7 * r, rng))
+                for r in ranges}
         saved_rows = {}
-        link_ms = {}
-        oracle_ms = {}
-        for r in (1, 3, 5):
-            cfg = LinKConfig(7, r, KernelGenerator.create(4, 2, "pure", 7 * r, rng))
+        for r, cfg in cfgs.items():
             _, state = link_forward(t, cfg, return_state=True)
             saved_rows[r] = {state.k_cos.shape[0], state.k_sin.shape[0], state.phase.shape[0]}
             link_forward(t, cfg)  # warm
-            samples = []
-            for _ in range(5):
+        # round-robin sampling spreads a burst of machine load over all ranges
+        samples = {r: [] for r in ranges}
+        for _ in range(5):
+            for r, cfg in cfgs.items():
                 t0 = time.perf_counter()
                 link_forward(t, cfg)
-                samples.append(time.perf_counter() - t0)
-            link_ms[r] = statistics.median(samples) * 1e3
+                samples[r].append(time.perf_counter() - t0)
+        link_ms = {r: statistics.median(v) * 1e3 for r, v in samples.items()}
+        oracle_ms = {}
+        for r, cfg in cfgs.items():
             t0 = time.perf_counter()
             link_oracle(t, cfg)
             oracle_ms[r] = (time.perf_counter() - t0) * 1e3

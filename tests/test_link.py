@@ -14,7 +14,6 @@ from link3d import (
     link_backward,
     link_forward,
     link_oracle,
-    neighbor_offsets,
     partition_blocks,
     push_proxies,
 )
@@ -137,19 +136,15 @@ class TestPartition:
             partition_blocks(make_scene(rng, 5, 4, 1), 0)
 
 
-class TestNeighborOffsets:
+class TestNeighborWindow:
     def test_odd_symmetric(self):
-        offs = neighbor_offsets(3)
-        assert offs.shape == (27, 3)
-        assert offs.min() == -1 and offs.max() == 1
+        assert link.neighbor_window(3) == (-1, 1)
 
     def test_even_floor_centered(self):
-        offs = neighbor_offsets(2)
-        assert offs.shape == (8, 3)
-        assert set(np.unique(offs)) == {-1, 0}
+        assert link.neighbor_window(2) == (-1, 0)
 
     def test_r1_is_self(self):
-        assert neighbor_offsets(1).tolist() == [[0, 0, 0]]
+        assert link.neighbor_window(1) == (0, 0)
 
 
 class TestPushGatherPull:
@@ -159,8 +154,7 @@ class TestPushGatherPull:
         k_cos, k_sin = generate_kernel(gen, anchored_xyz(t))
         part = partition_blocks(t, 3)
         proxies = push_proxies(part, t.features, k_cos, k_sin)
-        np.testing.assert_array_equal(proxies.proxy_cos, k_cos)
-        np.testing.assert_array_equal(proxies.proxy_sin, k_sin)
+        np.testing.assert_array_equal(proxies, np.concatenate([k_cos, k_sin], axis=1))
 
     def test_push_two_voxels_hand_sum(self, rng):
         t = SparseTensor(
@@ -173,7 +167,7 @@ class TestPushGatherPull:
         proxies = push_proxies(part, t.features, k_cos, k_sin)
         phases = coords.astype(np.float64) @ gen.weight.T
         expected = np.cos(phases[0]) * 2.0 + np.cos(phases[1]) * 3.0
-        np.testing.assert_allclose(proxies.proxy_cos[0], expected, atol=1e-15)
+        np.testing.assert_allclose(proxies[0, :1], expected, atol=1e-15)
 
     def test_push_matches_per_block_loop(self, rng):
         t = make_scene(rng, 300, 16, 3)
@@ -185,8 +179,9 @@ class TestPushGatherPull:
         for b in range(part.num_blocks):
             rows = members[b]
             np.testing.assert_allclose(
-                proxies.proxy_cos[b],
-                sum(k_cos[i] * t.features[i] for i in rows),
+                proxies[b],
+                sum(np.concatenate([k_cos[i], k_sin[i]]) * np.tile(t.features[i], 2)
+                    for i in rows),
                 atol=1e-12,
             )
 
@@ -197,7 +192,7 @@ class TestPushGatherPull:
         k_cos, k_sin = generate_kernel(gen, anchored_xyz(t))
         proxies = push_proxies(part, t.features, k_cos, k_sin)
         g_cos, _, count, _ = link._gather(part, proxies, 1)
-        np.testing.assert_array_equal(g_cos, proxies.proxy_cos)
+        np.testing.assert_array_equal(g_cos, proxies[:, :2])
         np.testing.assert_array_equal(count, part.populations)
 
     def test_gather_isolated_block(self, rng):
@@ -207,7 +202,7 @@ class TestPushGatherPull:
         k_cos, k_sin = generate_kernel(gen, anchored_xyz(t))
         proxies = push_proxies(part, t.features, k_cos, k_sin)
         g_cos, _, count, _ = link._gather(part, proxies, 3)
-        np.testing.assert_array_equal(g_cos, proxies.proxy_cos)
+        np.testing.assert_array_equal(g_cos, proxies[:, :2])
         assert count.tolist() == [2]
 
     def test_gather_matches_bruteforce_enumeration(self, rng):
@@ -294,10 +289,8 @@ class TestSeparableGather:
         part, proxies = pushed(t, s, rng)
         g_cos, g_sin, count, _ = link._gather(part, proxies, r)
         np.testing.assert_allclose(
-            g_cos, block_window_sums(part, proxies.proxy_cos, r), rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            g_sin, block_window_sums(part, proxies.proxy_sin, r), rtol=0, atol=1e-12
+            np.concatenate([g_cos, g_sin], axis=1), block_window_sums(part, proxies, r),
+            rtol=0, atol=1e-12,
         )
         np.testing.assert_array_equal(count, block_window_sums(part, part.populations, r))
 
@@ -307,7 +300,7 @@ class TestSeparableGather:
         part, proxies = pushed(t, 1, rng)
         g_cos, _, count, _ = link._gather(part, proxies, r)
         np.testing.assert_allclose(
-            g_cos, block_window_sums(part, proxies.proxy_cos, r), rtol=0, atol=1e-12
+            g_cos, block_window_sums(part, proxies[:, :2], r), rtol=0, atol=1e-12
         )
         np.testing.assert_array_equal(count, block_window_sums(part, part.populations, r))
 
@@ -320,8 +313,8 @@ class TestSeparableGather:
         lo, hi = link.neighbor_window(r)
         p = rng.normal(size=(part.num_blocks, 3))
         d = rng.normal(size=(part.num_blocks, 3))
-        box, _ = link._box_sum(p, part.block_keys, sets.along_zy, sets.along_z, lo, hi)
-        box_t, _ = link._box_sum(
+        box = link._box_sum(p, part.block_keys, sets.along_zy, sets.along_z, lo, hi)
+        box_t = link._box_sum(
             d, part.block_keys, sets.along_zy, sets.along_z, lo, hi, adjoint=True
         )
         lhs = float((box * d).sum())
@@ -343,7 +336,7 @@ class TestSeparableGather:
         for i, (b, x, y, z) in enumerate(part.block_coords.tolist()):
             j = index.get((b, x, y, z + 1))
             if j is not None:
-                lost[i] = proxies.proxy_cos[j]
+                lost[i] = proxies[j, :2]
                 lost_count[i] = part.populations[j]
         np.testing.assert_allclose(dropped_cos, full_cos - lost, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(dropped_count, full_count - lost_count)
@@ -473,6 +466,23 @@ class TestInvariances:
         assert np.abs(a.features - b.features).max() <= 1e-12
 
 
+def x_pass_reads(monkeypatch, t, cfg):
+    """Proxy rows the gather's first (x) pass reads in one ``link_forward``:
+    the rows found by its first r key probes."""
+    probe = link.probe_keys
+    found = []
+
+    def counting(*args):
+        rows, src = probe(*args)
+        found.append(rows.shape[0])
+        return rows, src
+
+    with monkeypatch.context() as m:
+        m.setattr(link, "probe_keys", counting)
+        link_forward(t, cfg)
+    return sum(found[: cfg.neighbor_range])
+
+
 class TestCounters:
     def test_push_pull_independent_of_range(self, rng):
         t = make_scene(rng, 800, 20, 4)
@@ -483,15 +493,14 @@ class TestCounters:
             for saved in (state.k_cos, state.k_sin, state.phase):
                 assert saved.shape[0] == t.num_voxels
 
-    def test_gather_reads_bounded_by_r_cubed(self, rng):
+    def test_gather_reads_bounded_by_r_cubed(self, rng, monkeypatch):
         t = make_scene(rng, 800, 20, 4)
         for r in (1, 3, 5):
             cfg = LinKConfig(3, r, make_generator(rng, 4, 1, "pure", 3, r))
-            _, state = link_forward(t, cfg, return_state=True)
-            m = state.partition.num_blocks
-            assert state.gather_sets.proxy_reads <= r ** 3 * m
+            m = partition_blocks(t, 3).num_blocks
+            assert x_pass_reads(monkeypatch, t, cfg) <= r ** 3 * m
 
-    def test_gather_reads_grow_slower_than_r_cubed(self, rng):
+    def test_gather_reads_grow_slower_than_r_cubed(self, rng, monkeypatch):
         # a fully occupied 21^3 cube is 7^3 blocks at s=3; enumerating block
         # pairs would read ~71x as many proxies at r=5 as at r=1
         axis = np.arange(21)
@@ -501,18 +510,15 @@ class TestCounters:
         reads = {}
         for r in (1, 5):
             cfg = LinKConfig(3, r, make_generator(rng, 1, 1, "pure", 3, r))
-            _, state = link_forward(t, cfg, return_state=True)
-            reads[r] = state.gather_sets.proxy_reads
+            reads[r] = x_pass_reads(monkeypatch, t, cfg)
         assert reads[1] == 7 ** 3
         assert reads[5] / reads[1] <= 10
 
     def test_oracle_pair_count_monotone_in_range(self, rng):
+        # the oracle pairs every voxel with each voxel of its block neighborhood
         t = make_scene(rng, 500, 16, 2)
-        counts = []
-        for r in (1, 3, 5):
-            cfg = LinKConfig(3, r, make_generator(rng, 2, 1, "pure", 3, r))
-            _, pairs = link_oracle(t, cfg, return_stats=True)
-            counts.append(pairs)
+        counts = [sum(len(rows) for rows in neighborhood_rows(t.coords, 3, r))
+                  for r in (1, 3, 5)]
         assert counts[0] < counts[1] < counts[2]
 
 

@@ -156,6 +156,22 @@ class TestEncoder:
         with pytest.raises(ConfigError):
             EncoderConfig(stage_channels=(8, 8, 8))
 
+    def test_parameter_paths_unique_and_match_grads(self, rng):
+        enc = build_encoder(small_config(channels=3, mode="augmented"), seed=0)
+        params = list(enc.named_parameters())
+        paths = [name for name, _ in params]
+        assert len(set(paths)) == len(paths)
+        assert len({id(arr) for _, arr in params}) == len(params)
+        assert {"stem1.conv.weight", "stem2.norm.shift", "stage1.down.conv.weight",
+                "stage4.link_module.link.frequency"} <= set(paths)
+        outs = enc.forward(make_scene(rng, 60, 10, 1))
+        enc.zero_grads()
+        enc.backward([np.ones_like(o.features) for o in outs])
+        grads = list(enc.named_grads())
+        assert [name for name, _ in grads] == paths
+        for (_, g), (_, arr) in zip(grads, params):
+            assert g is not None and g.shape == arr.shape
+
 
 class TestKernelMapCache:
     @pytest.fixture
