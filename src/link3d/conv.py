@@ -24,6 +24,9 @@ the product is added depends on how many out rows the offset covers:
 Paths 1 and 2 are exact: an accumulator starts at +0.0 and a sum of floats
 is -0.0 only if both terms are, so no out row ever holds -0.0, and adding
 +0.0 to it leaves its bits unchanged.
+
+The weights' gradient reuses the ``grad_out`` rows the features' gradient
+gathers for each offset, so the backward gathers them once.
 """
 
 from __future__ import annotations
@@ -167,11 +170,13 @@ class ConvWeights:
         return cls(w, np.zeros(c_out, dtype=dtype))
 
 
-def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights: np.ndarray):
+def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights: np.ndarray,
+                on_gather=None):
     """``out[dst_rows[o]] += x[src_rows[o]] @ weights[o]`` for each offset o in turn.
 
     Each offset takes one of the three paths in the module docstring, chosen
-    by how many of ``out``'s rows it covers.
+    by how many of ``out``'s rows it covers.  ``on_gather(o, gathered)``, when
+    given, also receives each non-empty offset's gathered ``x`` rows.
     """
     n_out = out.shape[0]
     if out.size == 0:
@@ -183,6 +188,8 @@ def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights: np.
         if n == 0:
             continue
         gathered = np.take(x, src, axis=0)
+        if on_gather is not None:
+            on_gather(o, gathered)
         if 2 * n < n_out:
             acc = np.take(out, dst, axis=0)
             acc += gathered @ weights[o]
@@ -215,11 +222,13 @@ def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> Spars
     return (km._out if km.stride == 2 else t).with_features(out)
 
 
-def sparse_conv_backward(grad_out: np.ndarray, t: SparseTensor, w: ConvWeights, km: KernelMap):
+def sparse_conv_backward(grad_out: np.ndarray, t: SparseTensor, w: ConvWeights, km: KernelMap,
+                         params: bool = True):
     """Exact adjoint of sparse_conv_forward.
 
     Returns (grad_features, grad_weights, grad_bias); grad_bias is None when
-    the weights carry no bias.
+    the weights carry no bias.  With ``params=False`` only grad_features is
+    computed and both parameter gradients are None.
     """
     if grad_out.shape != (km.num_out, w.c_out):
         raise DimensionError(
@@ -230,10 +239,13 @@ def sparse_conv_backward(grad_out: np.ndarray, t: SparseTensor, w: ConvWeights, 
     grad_out = grad_out.astype(dtype, copy=False)
     weights = w.weights.astype(dtype, copy=False)
     grad_features = np.zeros(t.features.shape, dtype)
-    _accumulate(grad_features, grad_out, km.out_rows, km.in_rows, weights.transpose(0, 2, 1))
-    grad_weights = np.zeros_like(weights)
-    for o, (ir, orow) in enumerate(zip(km.in_rows, km.out_rows)):
-        if ir.shape[0]:
-            grad_weights[o] = np.take(t.features, ir, axis=0).T @ np.take(grad_out, orow, axis=0)
-    grad_bias = grad_out.sum(axis=0) if w.bias is not None else None
+    grad_weights = np.zeros_like(weights) if params else None
+
+    def weight_grad(o, grad_rows):
+        # grad_rows is grad_out[out_rows[o]], gathered for the features' gradient
+        grad_weights[o] = np.take(t.features, km.in_rows[o], axis=0).T @ grad_rows
+
+    _accumulate(grad_features, grad_out, km.out_rows, km.in_rows, weights.transpose(0, 2, 1),
+                weight_grad if params else None)
+    grad_bias = grad_out.sum(axis=0) if params and w.bias is not None else None
     return grad_features, grad_weights, grad_bias

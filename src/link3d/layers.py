@@ -44,11 +44,15 @@ def layer_norm_forward(x: np.ndarray, params: LayerNormParams, eps: float = LN_E
     return y, (x_hat, inv_std, params.scale)
 
 
-def layer_norm_backward(grad_y: np.ndarray, cache):
-    """Gradients of layer_norm_forward w.r.t. input, scale, and shift."""
+def layer_norm_backward(grad_y: np.ndarray, cache, params: bool = True):
+    """Gradients of layer_norm_forward w.r.t. input, scale, and shift.
+
+    With ``params=False`` only the input gradient is computed; the scale and
+    shift gradients come back as None.
+    """
     x_hat, inv_std, scale = cache
-    grad_shift = grad_y.sum(axis=0)
-    grad_scale = (grad_y * x_hat).sum(axis=0)
+    grad_shift = grad_y.sum(axis=0) if params else None
+    grad_scale = (grad_y * x_hat).sum(axis=0) if params else None
     g = grad_y * scale
     g_mean = g.mean(axis=1, keepdims=True)
     gx_mean = (g * x_hat).mean(axis=1, keepdims=True)

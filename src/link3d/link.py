@@ -436,13 +436,16 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
     return out, state
 
 
-def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state: LinKState):
+def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state: LinKState,
+                  params: bool = True):
     """Exact adjoint of link_forward.
 
     Returns (grad_features, grad_weight, grad_frequency); grad_frequency is a
     zero vector in pure mode, where the frequency is not learnable.
     Computes in the same working dtype as the forward pass; grad_features
     comes back in the feature dtype, grad_weight and grad_frequency in float64.
+    With ``params=False`` only grad_features is computed (push, adjoint box
+    sum, pull) and both generator gradients are None.
     """
     if state is None:
         raise ConfigError("link_backward requires the state saved by link_forward")
@@ -454,7 +457,6 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
     part = state.partition
     b = part.voxel_block
     dtype = _working_dtype(gen.mode, t.features.dtype)
-    features = t.features.astype(dtype, copy=False)
 
     g = grad_out
     if state.normalize:
@@ -462,8 +464,6 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
 
     # pull: out = g_cos[b] * k_cos + g_sin[b] * k_sin; its adjoint in the
     # gathered sums is push's per-block segment sum
-    dk_cos = g * state.g_cos[b]
-    dk_sin = g * state.g_sin[b]
     dg = push_proxies(part, g, state.k_cos, state.k_sin)
 
     # gather: the transposed box sum over the saved key sets
@@ -476,7 +476,14 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
     # push: proxy = sum over members of k * f; its adjoint is a pull
     grad_features = pull(
         part, dproxy_cos, dproxy_sin, state.count, state.k_cos, state.k_sin, normalize=False
-    )
+    ).astype(t.features.dtype, copy=False)
+    if not params:
+        return grad_features, None, None
+
+    # the kernels' gradient: the pull's term, then the push's
+    features = t.features.astype(dtype, copy=False)
+    dk_cos = g * state.g_cos[b]
+    dk_sin = g * state.g_sin[b]
     dk_cos += dproxy_cos[b] * features
     dk_sin += dproxy_sin[b] * features
 
@@ -488,7 +495,8 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
 
     phase = state.phase
     if gen.mode == "pure":
-        dphase = -np.sin(phase) * dkc + np.cos(phase) * dks
+        # the saved kernels are cos(phase) and sin(phase), group-tiled
+        dphase = -state.k_sin[:, :gc] * dkc + state.k_cos[:, :gc] * dks
         grad_frequency = np.zeros(gc, dtype=np.float64)
     else:
         freq = gen.frequency.astype(dtype, copy=False)
@@ -499,7 +507,6 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
             (dkc * (-phase * s_) + dks * (phase * c_)).sum(axis=0).astype(np.float64)
         )
     grad_weight = (dphase.T @ state.anchored_xyz.astype(dtype)).astype(np.float64)
-    grad_features = grad_features.astype(t.features.dtype, copy=False)
     return grad_features, grad_weight, grad_frequency
 
 

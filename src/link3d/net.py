@@ -5,7 +5,9 @@ stages of [stride-2 conv-norm-ReLU downsample -> residual branch +
 large-kernel module], branch outputs combined by element-wise sum.  Every
 norm is a per-voxel LayerNorm over channels.  All layers carry hand-written
 backward passes so the whole stack can be gradient-checked against finite
-differences and trained with plain gradient descent.
+differences and trained with plain gradient descent.  Each ``backward``
+takes ``params``: with False it returns the same input gradient but computes
+no parameter gradient, which is all the ERF probe needs.
 
 Layer instances cache forward intermediates on themselves; use one model
 instance per thread.
@@ -100,9 +102,10 @@ class PointwiseConv(Module):
             feats.dtype, copy=False
         )
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        self._acc("weight", self._x.T @ grad)
-        self._acc("bias", grad.sum(axis=0))
+    def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
+        if params:
+            self._acc("weight", self._x.T @ grad)
+            self._acc("bias", grad.sum(axis=0))
         return grad @ self.weight.astype(grad.dtype, copy=False).T
 
 
@@ -128,10 +131,11 @@ class SparseConv(Module):
         self._km = km
         return sparse_conv_forward(t, self.conv, km)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        gf, gw, gb = sparse_conv_backward(grad, self._t, self.conv, self._km)
-        self._acc("weight", gw.astype(np.float64))
-        self._acc("bias", gb.astype(np.float64))
+    def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
+        gf, gw, gb = sparse_conv_backward(grad, self._t, self.conv, self._km, params=params)
+        if params:
+            self._acc("weight", gw.astype(np.float64))
+            self._acc("bias", gb.astype(np.float64))
         return gf
 
 
@@ -149,10 +153,11 @@ class Norm(Module):
         y, self._cache = layer_norm_forward(feats, self.params)
         return y
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        gx, gs, gsh = layer_norm_backward(grad, self._cache)
-        self._acc("scale", gs.astype(np.float64))
-        self._acc("shift", gsh.astype(np.float64))
+    def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
+        gx, gs, gsh = layer_norm_backward(grad, self._cache, params=params)
+        if params:
+            self._acc("scale", gs.astype(np.float64))
+            self._acc("shift", gsh.astype(np.float64))
         return gx
 
 
@@ -185,11 +190,12 @@ class LinKOp(Module):
         self._t = t
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        gf, gw, gfreq = link_backward(grad, self._t, self.cfg, self._state)
-        self._acc("weight", gw)
-        if self.generator.mode == "augmented":
-            self._acc("frequency", gfreq)
+    def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
+        gf, gw, gfreq = link_backward(grad, self._t, self.cfg, self._state, params=params)
+        if params:
+            self._acc("weight", gw)
+            if self.generator.mode == "augmented":
+                self._acc("frequency", gfreq)
         return gf
 
 
@@ -217,14 +223,14 @@ class ResidualBlock(Module):
         self._pre2 = h + t.features
         return t.with_features(relu(self._pre2))
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
         g = relu_backward(grad, self._pre2)
         skip = g
-        g = self.norm2.backward(g)
-        g = self.conv2.backward(g)
+        g = self.norm2.backward(g, params)
+        g = self.conv2.backward(g, params)
         g = relu_backward(g, self._pre1)
-        g = self.norm1.backward(g)
-        g = self.conv1.backward(g)
+        g = self.norm1.backward(g, params)
+        g = self.conv1.backward(g, params)
         return g + skip
 
 
@@ -242,8 +248,8 @@ class ResidualBranch(Module):
     def forward(self, t: SparseTensor) -> SparseTensor:
         return self.block2.forward(self.block1.forward(t))
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return self.block1.backward(self.block2.backward(grad))
+    def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
+        return self.block1.backward(self.block2.backward(grad, params), params)
 
 
 class LinKModule(Module):
@@ -276,12 +282,12 @@ class LinKModule(Module):
         self._pre = h
         return t.with_features(relu(h))
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
         g = relu_backward(grad, self._pre)
-        g = self.norm.backward(g)
-        gin = self.bypass.backward(g)
+        g = self.norm.backward(g, params)
+        gin = self.bypass.backward(g, params)
         if self.link_enabled:
-            gin = gin + self.pointwise.backward(self.link.backward(g))
+            gin = gin + self.pointwise.backward(self.link.backward(g, params), params)
         return gin
 
 
@@ -303,10 +309,10 @@ class ConvNormReLU(Module):
         self._pre = h
         return out.with_features(relu(h))
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
         g = relu_backward(grad, self._pre)
-        g = self.norm.backward(g)
-        return self.conv.backward(g)
+        g = self.norm.backward(g, params)
+        return self.conv.backward(g, params)
 
 
 class Stage(Module):
@@ -331,9 +337,9 @@ class Stage(Module):
         b = self.link_module.forward(d).features
         return d.with_features(a + b)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        g = self.residual.backward(grad) + self.link_module.backward(grad)
-        return self.down.backward(g)
+    def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
+        g = self.residual.backward(grad, params) + self.link_module.backward(grad, params)
+        return self.down.backward(g, params)
 
 
 @dataclass
@@ -397,12 +403,15 @@ class Encoder(Module):
         self._n_ran = n_stages
         return outs
 
-    def backward(self, stage_grads: Sequence[Optional[np.ndarray]]) -> np.ndarray:
+    def backward(self, stage_grads: Sequence[Optional[np.ndarray]],
+                 params: bool = True) -> np.ndarray:
         """Chain gradients from any subset of stage outputs back to the input.
 
         ``stage_grads[i]`` matches the i-th output of the last forward; None
         entries contribute nothing.  Returns the gradient w.r.t. the input
-        tensor's features.
+        tensor's features.  Parameter gradients accumulate into each module's
+        ``grads``; with ``params=False`` none is computed and ``grads`` is
+        left as it was.
         """
         if len(stage_grads) != self._n_ran:
             raise DimensionError(
@@ -414,10 +423,10 @@ class Encoder(Module):
             if gi is not None:
                 g = gi if g is None else g + gi
             if g is not None:
-                g = self.stages[i].backward(g)
+                g = self.stages[i].backward(g, params)
         if g is None:
             raise ConfigError("at least one stage gradient is required")
-        return self.stem1.backward(self.stem2.backward(g))
+        return self.stem1.backward(self.stem2.backward(g, params), params)
 
 
 def build_encoder(cfg: EncoderConfig, seed: int = 0) -> Encoder:
@@ -433,7 +442,9 @@ def erf_map(t: SparseTensor, encoder: Encoder, target_stage: int):
 
     Runs the encoder to ``target_stage`` (1-based), seeds a ones-vector at
     the stage voxel nearest the stage centroid, and backpropagates to the
-    input.  Returns (input_coords, l1_magnitudes, seed_coord).
+    input.  Only the input gradient is computed: no parameter gradient is,
+    and every module's ``grads`` is left empty.  Returns (input_coords,
+    l1_magnitudes, seed_coord).
     """
     if t.num_voxels == 0:
         raise ConfigError("erf_map requires a non-empty scene")
@@ -450,7 +461,7 @@ def erf_map(t: SparseTensor, encoder: Encoder, target_stage: int):
     seed[seed_row] = 1.0
     grads: List[Optional[np.ndarray]] = [None] * (target_stage - 1) + [seed]
     encoder.zero_grads()
-    g_in = encoder.backward(grads)
+    g_in = encoder.backward(grads, params=False)
     magnitudes = np.abs(g_in).sum(axis=1)
     return t.coords, magnitudes, top.coords[seed_row]
 

@@ -314,7 +314,9 @@ class TestSharedPrimitive:
         out, grad_features, grad_weights = reference_conv(t, w, km, grad_out)
         got = sparse_conv_forward(t, w, km).features
         gf, gw, _ = sparse_conv_backward(grad_out, t, w, km)
-        for a, b in ((got, out), (gf, grad_features), (gw, grad_weights)):
+        gf_only, gw_none, gb_none = sparse_conv_backward(grad_out, t, w, km, params=False)
+        assert gw_none is None and gb_none is None
+        for a, b in ((got, out), (gf, grad_features), (gw, grad_weights), (gf_only, gf)):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 

@@ -589,6 +589,18 @@ class TestBackward:
         np.testing.assert_allclose(gw, fd_grad(loss, gen.weight), rtol=0, atol=1e-7)
         np.testing.assert_allclose(gfr, fd_grad(loss, gen.frequency), rtol=0, atol=1e-7)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["pure", "augmented"])
+    def test_input_only_equals_the_default(self, mode, dtype, rng):
+        t = make_scene(rng, 300, 12, 4, dtype)
+        cfg = LinKConfig(3, 2, make_generator(rng, 4, 2, mode))
+        _, state = link_forward(t, cfg, return_state=True)
+        g = rng.normal(size=t.features.shape).astype(dtype)
+        gf, _, _ = link_backward(g, t, cfg, state)
+        got, gw, gfr = link_backward(g, t, cfg, state, params=False)
+        assert gw is None and gfr is None
+        assert got.dtype == gf.dtype == dtype and got.tobytes() == gf.tobytes()
+
     def test_missing_state(self, rng):
         t = make_scene(rng, 10, 6, 2)
         cfg = LinKConfig(3, 2, make_generator(rng, 2))

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from link3d import (
 )
 from link3d import net
 from link3d.core import coarsen
-from link3d.layers import layer_norm_forward
+from link3d.layers import LayerNormParams, layer_norm_backward, layer_norm_forward
 from link3d.net import EncoderConfig, LinKModule, ResidualBlock, SegModel, SparseConv
 from conftest import make_scene
 from oracles import compare_sampled, dense_conv_oracle, fd_grad, loop_majority
@@ -234,12 +236,65 @@ class TestEndToEndGradients:
 
         enc.zero_grads()
         enc.forward(t)
-        enc.backward(probes)
+        g_in = enc.backward(probes)
         grads = dict(enc.named_grads())
-        sample_rng = np.random.default_rng(seed + 100)
         for name, arr in enc.named_parameters():
+            # seeded by the path, so module order does not move the samples
+            sample_rng = np.random.default_rng([seed + 100, zlib.crc32(name.encode())])
             fd = fd_grad(loss, arr, sample=2, rng=sample_rng)
             assert compare_sampled(fd, grads[name]) <= 1e-3, name
+        # the input gradient, from the full and from the input-only backward
+        fd = fd_grad(loss, t.features, sample=8, rng=np.random.default_rng(seed + 200))
+        assert compare_sampled(fd, g_in) <= 1e-3
+        enc.forward(t)
+        assert compare_sampled(fd, enc.backward(probes, params=False)) <= 1e-3
+
+
+def seed_grads(encoder, t, seed_coord, stage):
+    """Stage gradients for a ones-vector at ``seed_coord``, as erf_map seeds."""
+    top = encoder.forward(t, n_stages=stage)[-1]
+    seed = np.zeros_like(top.features)
+    seed[(top.coords == seed_coord).all(axis=1)] = 1.0
+    return [None] * (stage - 1) + [seed]
+
+
+class TestInputOnlyBackward:
+    """``params=False`` computes the input gradient with the same bits and
+    no parameter gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["pure", "augmented"])
+    def test_erf_equals_the_default_backward(self, mode, dtype):
+        t = make_scene(np.random.default_rng(5), 400, 14, 1, dtype)
+        enc = build_encoder(small_config(channels=4, mode=mode, groups=2, dtype=dtype),
+                            seed=3)
+        for stage in (1, 4):
+            _, mags, seed_coord = erf_map(t, enc, stage)
+            assert all(g is None for _, g in enc.named_grads())
+            g_in = enc.backward(seed_grads(enc, t, seed_coord, stage))
+            want = np.abs(g_in).sum(axis=1)
+            assert mags.dtype == want.dtype and mags.tobytes() == want.tobytes()
+
+    def test_input_only_leaves_grads_unchanged(self, rng):
+        t = make_scene(rng, 80, 10, 1)
+        enc = build_encoder(small_config(channels=3), seed=0)
+        probes = [np.ones_like(o.features) for o in enc.forward(t)]
+        enc.zero_grads()
+        enc.backward(probes)
+        before = {name: g.copy() for name, g in enc.named_grads()}
+        enc.backward(probes, params=False)
+        for name, g in enc.named_grads():
+            assert g.tobytes() == before[name].tobytes(), name
+
+    def test_layer_norm_input_only(self, rng):
+        x = rng.normal(size=(50, 6)).astype(np.float32)
+        _, cache = layer_norm_forward(x, LayerNormParams(
+            rng.uniform(0.5, 1.5, 6).astype(np.float32), np.zeros(6, np.float32)))
+        g = rng.normal(size=x.shape).astype(np.float32)
+        gx, _, _ = layer_norm_backward(g, cache)
+        got = layer_norm_backward(g, cache, params=False)
+        assert got[1] is None and got[2] is None
+        assert got[0].tobytes() == gx.tobytes()
 
 
 class TestErf:
