@@ -9,21 +9,11 @@ Pair lists in the kernel map are sorted by (out_row, in_row) and offsets are
 iterated in a fixed lexicographic order, which pins the floating-point
 summation order and makes results bit-reproducible.
 
-Forward and the features' gradient are one gather-GEMM-accumulate loop
-(``_accumulate``): for each offset in turn, ``out[dst] += x[src] @ W[o]``.
-The GEMM always runs over exactly the offset's gathered pairs, so each
-product row has the same bits whatever the BLAS does with matrix shape.  How
-the product is added depends on how many out rows the offset covers:
-
-1. all of them, in row order (the centre of a stride-1 map): ``out += prod``;
-2. at least half: every out row adds its product row, or an appended zero
-   row where the offset misses it, with no scatter;
-3. fewer: the covered out rows are gathered, added to and scattered back as
-   whole rows.
-
-Paths 1 and 2 are exact: an accumulator starts at +0.0 and a sum of floats
-is -0.0 only if both terms are, so no out row ever holds -0.0, and adding
-+0.0 to it leaves its bits unchanged.
+Forward and the features' gradient each make one call of the library's
+gather-accumulate primitive, :func:`core._accumulate`, with the kernel
+weights: for each offset in turn, ``out[dst] += x[src] @ W[o]``.  The GEMM
+runs over exactly the offset's gathered pairs, and the core module docstring
+lists the three exact ways the product is added.
 
 The weights' gradient reuses the ``grad_out`` rows the features' gradient
 gathers for each offset, so the backward gathers them once.
@@ -36,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import SparseTensor, coarsen, probe_keys
+from .core import SparseTensor, _accumulate, coarsen, probe_keys
 from .errors import ConfigError, DimensionError
 
 
@@ -168,42 +158,6 @@ class ConvWeights:
         scale = np.sqrt(2.0 / (volume * c_in))
         w = rng.normal(0.0, scale, size=(volume, c_in, c_out)).astype(dtype)
         return cls(w, np.zeros(c_out, dtype=dtype))
-
-
-def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights: np.ndarray,
-                on_gather=None):
-    """``out[dst_rows[o]] += x[src_rows[o]] @ weights[o]`` for each offset o in turn.
-
-    Each offset takes one of the three paths in the module docstring, chosen
-    by how many of ``out``'s rows it covers.  ``on_gather(o, gathered)``, when
-    given, also receives each non-empty offset's gathered ``x`` rows.
-    """
-    n_out = out.shape[0]
-    if out.size == 0:
-        return
-    # one void item per row: the scatter moves whole rows
-    rows = out.view(np.dtype((np.void, out.dtype.itemsize * out.shape[1])))[:, 0]
-    for o, (src, dst) in enumerate(zip(src_rows, dst_rows)):
-        n = dst.shape[0]
-        if n == 0:
-            continue
-        gathered = np.take(x, src, axis=0)
-        if on_gather is not None:
-            on_gather(o, gathered)
-        if 2 * n < n_out:
-            acc = np.take(out, dst, axis=0)
-            acc += gathered @ weights[o]
-            rows[dst] = acc.view(rows.dtype)[:, 0]
-        elif n == n_out and (dst[1:] > dst[:-1]).all():
-            out += gathered @ weights[o]
-        else:
-            # the pairs' product, then one zero row for the out rows it misses
-            prod = np.empty((n + 1, out.shape[1]), out.dtype)
-            np.matmul(gathered, weights[o], out=prod[:n])
-            prod[n] = 0
-            index = np.full(n_out, n, dtype=np.int64)
-            index[dst] = np.arange(n)
-            out += np.take(prod, index, axis=0)
 
 
 def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> SparseTensor:

@@ -6,6 +6,28 @@ packs injectively into one 64-bit key with the fixed layout
 ``batch(16) | x+2^15 (16) | y+2^15 (16) | z+2^15 (16)``.  That bound covers
 roughly +-1638 m at a 0.05 m voxel size.  Every coordinate search runs in
 this key space, through :func:`probe_keys` and :func:`dilate_keys`.
+
+One gather-accumulate primitive, :func:`_accumulate`, adds gathered rows into
+indexed output rows: for each index list o in turn,
+``out[dst[o]] += x[src[o]] @ W[o]``.  Its callers are the sparse convolution
+(forward and the features' gradient, one list per kernel offset) and LinK
+(the push, one list per member slot, with ``weights=None``: the gathered rows
+are added as they are; and each pass of the separable box sum, one list per
+block offset).  How a list's rows are added depends on how many out rows it
+covers:
+
+1. all of them, in row order: ``out += prod``;
+2. at least half: every out row adds its product row, or an appended zero
+   row where the list misses it, with no scatter;
+3. fewer: the covered out rows are gathered, added to and scattered back as
+   whole rows.
+
+All three give the bits of ``out[dst] += prod`` with unique ``dst``.  Paths 1
+and 2 are exact because an accumulator that starts at +0.0 never holds
+-0.0 (a float sum is -0.0 only if both terms are), and adding +0.0 to it
+leaves its bits unchanged.  The matrix product, when there is one, runs over
+exactly the list's gathered rows, so each product row has the same bits
+whatever the BLAS does with matrix shape.
 """
 
 from __future__ import annotations
@@ -101,6 +123,52 @@ def dilate_keys(keys: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
         for d in range(lo, hi + 1)
     ]
     return np.unique(np.concatenate(moved))
+
+
+def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None,
+                on_gather=None):
+    """``out[dst_rows[o]] += x[src_rows[o]] @ weights[o]`` for each list o in turn.
+
+    ``weights=None`` adds the gathered rows themselves.  Each list takes one
+    of the three paths in the module docstring, chosen by how many of
+    ``out``'s rows it covers; ``dst_rows[o]`` holds no row twice.
+    ``on_gather(o, gathered)``, when given with ``weights``, also receives
+    each non-empty list's gathered ``x`` rows.
+    """
+    n_out, width = out.shape
+    if out.size == 0:
+        return
+
+    def product(o, src, buf=None):
+        """The list's gathered rows, times ``weights[o]`` when given, into ``buf``."""
+        if weights is None:
+            # rows are in range by construction; "clip" fills buf unbuffered
+            return np.take(x, src, axis=0, out=buf, mode="clip")
+        gathered = np.take(x, src, axis=0)
+        if on_gather is not None:
+            on_gather(o, gathered)
+        return np.matmul(gathered, weights[o], out=buf)
+
+    # one void item per row: the scatter moves whole rows
+    rows = out.view(np.dtype((np.void, out.dtype.itemsize * width)))[:, 0]
+    for o, (src, dst) in enumerate(zip(src_rows, dst_rows)):
+        n = dst.shape[0]
+        if n == 0:
+            continue
+        if 2 * n < n_out:
+            acc = np.take(out, dst, axis=0)
+            acc += product(o, src)
+            rows[dst] = acc.view(rows.dtype)[:, 0]
+        elif n == n_out and (dst[1:] > dst[:-1]).all():
+            out += product(o, src)
+        else:
+            # the product, then one zero row for the out rows the list misses
+            prod = np.empty((n + 1, width), out.dtype)
+            product(o, src, prod[:n])
+            prod[n] = 0
+            index = np.full(n_out, n, dtype=np.int64)
+            index[dst] = np.arange(n)
+            out += np.take(prod, index, axis=0)
 
 
 def coarsen(coords: np.ndarray, factor: int):

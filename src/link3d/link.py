@@ -16,8 +16,17 @@ pull no matter how large the (r * s)^3 receptive cube grows.
 The neighborhood sum is separable: it runs as three 1-D box sums over the
 occupied block set, along x, then y, then z, each one r shifted-key probes.
 Overlapping windows share their partial sums this way, so the block-level
-work grows with r rather than r^3.  The backward pass runs the same passes
-transposed.
+work grows with r rather than r^3.  The forward pass keeps each probe's
+(dst, src) row pairs, and the backward pass replays them transposed.
+
+Summation order.  The push and every box-sum pass are calls of the library's
+one gather-accumulate primitive (``core._accumulate``), and the order it adds
+in is the library's, not numpy's.  A block proxy starts at +0.0 and adds its
+members' weighted features one at a time in ascending voxel row: slot j of
+the partition holds each block's j-th member.  A box-sum pass starts at +0.0
+and adds its r shifted neighbors in ascending offset; the transposed pass
+adds them in descending offset, which is the ascending order of the
+reflected window.
 
 ``link_oracle`` is the quadratic-cost pairwise form of the same operator and
 serves as the correctness reference for ``link_forward``.
@@ -35,11 +44,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import SparseTensor, coarsen, dilate_keys, probe_keys
+from .core import SparseTensor, _accumulate, coarsen, dilate_keys, probe_keys
 from .errors import ConfigError, DimensionError
 
 ORACLE_CHUNK_ELEMS = 1 << 22  # cap on pairwise work-array size per slice
@@ -192,6 +201,10 @@ class BlockPartition:
     populations: np.ndarray        # (M,) member counts
     row_order: np.ndarray          # (N,) voxel rows grouped by block id
     segment_starts: np.ndarray     # (M,) start of each block's run in row_order
+    # slot j: the j-th member row of every block with more than j members,
+    # and those blocks' ids, both ascending
+    slot_rows: List[np.ndarray]
+    slot_blocks: List[np.ndarray]
 
     @property
     def num_blocks(self) -> int:
@@ -204,7 +217,13 @@ def partition_blocks(t: SparseTensor, block_size: int) -> BlockPartition:
         raise ConfigError(f"block size must be >= 1, got {block_size}")
     blocks, keys, inverse, counts = coarsen(t.coords, block_size)
     row_order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[row_order], np.arange(keys.shape[0]))
+    grouped = inverse[row_order]
+    starts = np.searchsorted(grouped, np.arange(keys.shape[0]))
+    # each member's rank in its block, below s^3; a stable sort by rank keeps
+    # the blocks ascending within every slot (narrow ranks sort by radix)
+    rank = np.arange(row_order.shape[0]) - starts[grouped]
+    by_slot = np.argsort(rank.astype(np.min_scalar_type(block_size ** 3)), kind="stable")
+    ends = np.cumsum(np.bincount(rank))
     return BlockPartition(
         block_size=block_size,
         block_coords=blocks,
@@ -213,6 +232,8 @@ def partition_blocks(t: SparseTensor, block_size: int) -> BlockPartition:
         populations=counts,
         row_order=row_order,
         segment_starts=starts,
+        slot_rows=np.split(row_order[by_slot], ends)[:-1],
+        slot_blocks=np.split(grouped[by_slot], ends)[:-1],
     )
 
 
@@ -233,54 +254,52 @@ def push_proxies(
 ) -> np.ndarray:
     """Deposit every voxel's kernel-weighted feature into its block proxy.
 
-    Returns the per-block sums as one (M, 2C) array, ``[cos | sin]``.
+    Returns the per-block sums as one (M, 2C) array, ``[cos | sin]``, each
+    summed from +0.0 over the block's members in ascending row order.
     """
     n = part.voxel_block.shape[0]
     if features.shape[0] != n or k_cos.shape != features.shape or k_sin.shape != features.shape:
         raise DimensionError("features and kernel weights must share shape (N, C)")
     c = features.shape[1]
-    proxies = np.empty((part.num_blocks, 2 * c), dtype=np.result_type(k_cos, features))
-    for half, k in ((proxies[:, :c], k_cos), (proxies[:, c:], k_sin)):
-        np.add.reduceat((k * features)[part.row_order], part.segment_starts, axis=0, out=half)
+    dtype = np.result_type(k_cos, features)
+    weighted = np.empty((n, 2 * c), dtype)
+    np.multiply(k_cos, features, out=weighted[:, :c])
+    np.multiply(k_sin, features, out=weighted[:, c:])
+    proxies = np.zeros((part.num_blocks, 2 * c), dtype)
+    _accumulate(proxies, weighted, part.slot_rows, part.slot_blocks)
     return proxies
 
 
 class GatherSets(NamedTuple):
-    """Sorted block key sets the gather's intermediate passes are evaluated
-    at; ``link_backward`` runs the transposed passes on them."""
+    """The gather's plan: the sorted block key sets its intermediate passes
+    are evaluated at, and every pass's row pairs, which ``link_backward``
+    replays transposed."""
 
-    along_zy: np.ndarray   # occupied blocks dilated along z, then along y
-    along_z: np.ndarray    # occupied blocks dilated along z
+    along_zy: np.ndarray   # x-pass targets: occupied blocks dilated along z, then y
+    along_z: np.ndarray    # y-pass targets: occupied blocks dilated along z
+    # per pass (x, y, z): (dst rows, src rows), one array each per offset lo..hi
+    passes: tuple
 
 
-def _box_pass(dst_keys, src_keys, src_vals, axis: int, lo: int, hi: int):
-    """1-D box sum: row i sums ``src_vals`` at dst_keys[i] + lo..hi along ``axis``.
+def _box_sum(values, sets: GatherSets, adjoint=False):
+    """Sum of per-block ``values`` over each block's window, by ``sets``' plan.
 
-    Offsets are added in ascending order.
+    Three 1-D passes, each one primitive call: x onto ``along_zy``, y onto
+    ``along_z``, z onto the blocks themselves, adding offsets in ascending
+    order.  With ``adjoint`` the passes run transposed, z then y then x, each
+    with its pairs swapped and its offsets reversed: offset d's pairs swapped
+    are offset -d's of the reflected window, so this computes the transpose
+    of the forward sum exactly.
     """
-    out = np.zeros((dst_keys.shape[0], src_vals.shape[1]), dtype=src_vals.dtype)
-    offset = [0, 0, 0]
-    for d in range(lo, hi + 1):
-        offset[axis] = d
-        rows, src = probe_keys(dst_keys, src_keys, offset)
-        out[rows] += src_vals[src]
-    return out
-
-
-def _box_sum(values, keys, along_zy, along_z, lo: int, hi: int, adjoint=False):
-    """Sum of per-block ``values`` over each block's [lo, hi]^3 window.
-
-    Three 1-D passes: x onto ``along_zy``, y onto ``along_z``, z onto the
-    blocks' own ``keys``.  With ``adjoint`` the passes run transposed, z then
-    y then x over the reflected window [-hi, -lo], which computes the
-    transpose of the forward sum exactly.
-    """
-    passes = [(along_zy, keys, 0), (along_z, along_zy, 1), (keys, along_z, 2)]
+    sizes = [sets.along_zy.shape[0], sets.along_z.shape[0], values.shape[0]]
+    passes = sets.passes
     if adjoint:
-        passes = [(src, dst, axis) for dst, src, axis in reversed(passes)]
-        lo, hi = -hi, -lo
-    for dst, src, axis in passes:
-        values = _box_pass(dst, src, values, axis, lo, hi)
+        sizes = [sizes[1], sizes[0], sizes[2]]
+        passes = [(src[::-1], dst[::-1]) for dst, src in reversed(passes)]
+    for size, (dst, src) in zip(sizes, passes):
+        out = np.zeros((size, values.shape[1]), values.dtype)
+        _accumulate(out, values, src, dst)
+        values = out
     return values
 
 
@@ -303,16 +322,25 @@ def _gather(
     keys = part.block_keys
     along_z = dilate_keys(keys, 2, lo, hi)
     along_zy = dilate_keys(along_z, 1, lo, hi)
+    passes = []
+    for dst, src, axis in ((along_zy, keys, 0), (along_z, along_zy, 1), (keys, along_z, 2)):
+        offset = [0, 0, 0]
+        probes = []
+        for d in range(lo, hi + 1):
+            offset[axis] = d
+            probes.append(probe_keys(dst, src, offset))
+        passes.append(tuple(zip(*probes)))
+    sets = GatherSets(along_zy, along_z, tuple(passes))
     c = proxies.shape[1] // 2
     stacked = np.concatenate(
         [proxies, part.populations[:, None].astype(proxies.dtype)], axis=1
     )
-    sums = _box_sum(stacked, keys, along_zy, along_z, lo, hi)
+    sums = _box_sum(stacked, sets)
     if drop_offset is not None and all(lo <= d <= hi for d in drop_offset):
         rows, src = probe_keys(keys, keys, drop_offset)
         sums[rows] -= stacked[src]
     count = np.rint(sums[:, 2 * c]).astype(np.int64)
-    return sums[:, :c], sums[:, c : 2 * c], count, GatherSets(along_zy, along_z)
+    return sums[:, :c], sums[:, c : 2 * c], count, sets
 
 
 def pull(
@@ -466,11 +494,9 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
     # gathered sums is push's per-block segment sum
     dg = push_proxies(part, g, state.k_cos, state.k_sin)
 
-    # gather: the transposed box sum over the saved key sets
+    # gather: the forward's box-sum plan, replayed transposed
     c = g.shape[1]
-    lo, hi = neighbor_window(cfg.neighbor_range)
-    sets = state.gather_sets
-    dproxy = _box_sum(dg, part.block_keys, sets.along_zy, sets.along_z, lo, hi, adjoint=True)
+    dproxy = _box_sum(dg, state.gather_sets, adjoint=True)
     dproxy_cos, dproxy_sin = dproxy[:, :c], dproxy[:, c:]
 
     # push: proxy = sum over members of k * f; its adjoint is a pull
@@ -490,8 +516,10 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
     # undo group tiling
     n = t.num_voxels
     gc = gen.gen_channels
-    dkc = dk_cos.reshape(n, gen.groups, gc).sum(axis=1)
-    dks = dk_sin.reshape(n, gen.groups, gc).sum(axis=1)
+    dkc, dks = dk_cos, dk_sin
+    if gen.groups > 1:
+        dkc = dk_cos.reshape(n, gen.groups, gc).sum(axis=1)
+        dks = dk_sin.reshape(n, gen.groups, gc).sum(axis=1)
 
     phase = state.phase
     if gen.mode == "pure":

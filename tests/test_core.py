@@ -7,6 +7,7 @@ from link3d import (
     DuplicateCoordError,
     PointCloud,
     SparseTensor,
+    core,
     pack_keys,
     voxelize,
 )
@@ -133,6 +134,31 @@ class TestSparseTensor:
         far = coords.copy()
         far[:, 1] = 2 ** 15
         assert (t.lookup(far) == -1).all()
+
+
+class TestAccumulate:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unweighted_paths_match_fancy_add(self, dtype, rng):
+        # lists covering every row in order (path 1), every row out of
+        # order and most rows (path 2), and few rows (path 3)
+        n_out, n_x = 40, 60
+        lists = [np.arange(n_out), rng.permutation(n_out),
+                 np.sort(rng.choice(n_out, 30, replace=False)),
+                 np.sort(rng.choice(n_out, 5, replace=False)), np.zeros(0, np.int64)]
+        dst_rows = lists + lists[::-1]
+        src_rows = [rng.integers(0, n_x, d.shape[0]) for d in dst_rows]
+        x = rng.normal(size=(n_x, 3)).astype(dtype)
+        out = np.zeros((n_out, 3), dtype)
+        core._accumulate(out, x, src_rows, dst_rows)
+        expected = np.zeros((n_out, 3), dtype)
+        for src, dst in zip(src_rows, dst_rows):
+            expected[dst] += x[src]
+        assert out.tobytes() == expected.tobytes()
+
+    def test_empty_out_is_left_alone(self):
+        out = np.zeros((0, 2))
+        core._accumulate(out, np.ones((3, 2)), [np.zeros(0, np.int64)], [np.zeros(0, np.int64)])
+        assert out.shape == (0, 2)
 
 
 class TestVoxelize:

@@ -310,13 +310,10 @@ class TestSeparableGather:
         t = corner_scene(rng, 1) if corner else make_scene(rng, 600, 24, 1, batches=2)
         part, proxies = pushed(t, s, rng)
         _, _, _, sets = link._gather(part, proxies, r)
-        lo, hi = link.neighbor_window(r)
         p = rng.normal(size=(part.num_blocks, 3))
         d = rng.normal(size=(part.num_blocks, 3))
-        box = link._box_sum(p, part.block_keys, sets.along_zy, sets.along_z, lo, hi)
-        box_t = link._box_sum(
-            d, part.block_keys, sets.along_zy, sets.along_z, lo, hi, adjoint=True
-        )
+        box = link._box_sum(p, sets)
+        box_t = link._box_sum(d, sets, adjoint=True)
         lhs = float((box * d).sum())
         rhs = float((p * box_t).sum())
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
@@ -342,6 +339,111 @@ class TestSeparableGather:
         np.testing.assert_array_equal(dropped_count, full_count - lost_count)
         assert lost_count.any()
         np.testing.assert_array_equal(outside_cos, full_cos)
+
+    @pytest.mark.parametrize("s,r,corner", [(1, 2, True), (1, 4, True), (3, 3, False),
+                                            (2, 4, False), (3, 5, False), (7, 2, False)])
+    def test_box_sum_bits_match_per_offset_formula(self, s, r, corner, rng):
+        t = corner_scene(rng, 1) if corner else make_scene(rng, 900, 30, 1, batches=2)
+        part, proxies = pushed(t, s, rng)
+        _, _, _, sets = link._gather(part, proxies, r)
+        lo, hi = link.neighbor_window(r)
+        for dtype in (np.float32, np.float64):
+            v = rng.normal(size=(part.num_blocks, 5)).astype(dtype)
+            box = link._box_sum(v, sets)
+            box_t = link._box_sum(v, sets, adjoint=True)
+            assert box.tobytes() == reference_box_sum(v, part.block_keys, sets, lo, hi).tobytes()
+            assert box_t.tobytes() == reference_box_sum(
+                v, part.block_keys, sets, lo, hi, adjoint=True).tobytes()
+
+
+def reference_box_sum(values, keys, sets, lo, hi, adjoint=False):
+    """The per-offset formula the planned box sum replaced: each pass probes
+    its r offsets in ascending order and adds ``out[rows] += values[src]``;
+    the adjoint runs the passes z, y, x over the reflected window."""
+    passes = [(sets.along_zy, keys, 0), (sets.along_z, sets.along_zy, 1), (keys, sets.along_z, 2)]
+    if adjoint:
+        passes = [(src, dst, axis) for dst, src, axis in reversed(passes)]
+        lo, hi = -hi, -lo
+    for dst, src, axis in passes:
+        out = np.zeros((dst.shape[0], values.shape[1]), values.dtype)
+        offset = [0, 0, 0]
+        for d in range(lo, hi + 1):
+            offset[axis] = d
+            rows, cols = link.probe_keys(dst, src, offset)
+            out[rows] += values[cols]
+        values = out
+    return values
+
+
+def push_loop(part, features, k_cos, k_sin):
+    """Per-block proxies by an explicit loop: each block adds its members'
+    ``[k_cos * f | k_sin * f]`` rows to +0.0 one at a time, in ascending row."""
+    dtype = np.result_type(k_cos, features)
+    out = np.zeros((part.num_blocks, 2 * features.shape[1]), dtype)
+    for b, rows in enumerate(np.split(part.row_order, part.segment_starts[1:])):
+        for i in np.sort(rows):
+            out[b] += np.concatenate([k_cos[i] * features[i], k_sin[i] * features[i]])
+    return out
+
+
+def permuted(t, rng):
+    """``t``'s voxels in a random row order."""
+    order = rng.permutation(t.num_voxels)
+    return SparseTensor(t.coords[order], t.features[order])
+
+
+class TestPushSummationOrder:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("s", [1, 3, 7])
+    def test_push_bits_match_row_order_loop(self, dtype, s, rng):
+        t = permuted(make_scene(rng, 1500, 3 * s + 6, 3, dtype), rng)
+        part = partition_blocks(t, s)
+        if s == 3:
+            # blocks of 4..27 members are where a pairwise reduction adds in another order
+            assert part.populations.max() >= 4
+        k_cos, k_sin = generate_kernel(make_generator(rng, 3, s=s), anchored_xyz(t), dtype)
+        proxies = push_proxies(part, t.features, k_cos, k_sin)
+        assert proxies.dtype == dtype
+        assert proxies.tobytes() == push_loop(part, t.features, k_cos, k_sin).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_full_blocks(self, dtype, rng):
+        # a 9^3 cube is 27 full s=3 blocks: every block fills all 27 slots
+        axis = np.arange(9)
+        xyz = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        coords = np.concatenate([np.zeros((xyz.shape[0], 1), np.int64), xyz], 1)
+        t = permuted(SparseTensor(coords, rng.normal(size=(coords.shape[0], 2)).astype(dtype)),
+                     rng)
+        part = partition_blocks(t, 3)
+        assert (part.populations == 27).all() and len(part.slot_rows) == 27
+        k_cos, k_sin = generate_kernel(make_generator(rng, 2), anchored_xyz(t), dtype)
+        proxies = push_proxies(part, t.features, k_cos, k_sin)
+        assert proxies.tobytes() == push_loop(part, t.features, k_cos, k_sin).tobytes()
+
+    def test_single_voxel_blocks(self, rng):
+        t = permuted(make_scene(rng, 300, 12, 2), rng)
+        part = partition_blocks(t, 1)
+        assert len(part.slot_rows) == 1
+        k_cos, k_sin = generate_kernel(make_generator(rng, 2), anchored_xyz(t))
+        proxies = push_proxies(part, t.features, k_cos, k_sin)
+        assert proxies.tobytes() == push_loop(part, t.features, k_cos, k_sin).tobytes()
+
+    def test_empty_scene(self, rng):
+        t = SparseTensor(np.zeros((0, 4), np.int64), np.zeros((0, 3)))
+        part = partition_blocks(t, 3)
+        assert part.slot_rows == [] and part.slot_blocks == []
+        k = np.zeros((0, 3))
+        proxies = push_proxies(part, t.features, k, k)
+        assert proxies.shape == (0, 6)
+
+    def test_slots_hold_members_in_row_order(self, rng):
+        t = permuted(make_scene(rng, 800, 14, 1, batches=2), rng)
+        part = partition_blocks(t, 3)
+        members = np.split(part.row_order, part.segment_starts[1:])
+        for j, (rows, blocks) in enumerate(zip(part.slot_rows, part.slot_blocks)):
+            expected = [b for b in range(part.num_blocks) if part.populations[b] > j]
+            assert blocks.tolist() == expected
+            assert rows.tolist() == [int(np.sort(members[b])[j]) for b in expected]
 
 
 class TestForwardOracleEquivalence:
