@@ -7,6 +7,12 @@ packs injectively into one 64-bit key with the fixed layout
 roughly +-1638 m at a 0.05 m voxel size.  Every coordinate search runs in
 this key space, through :func:`probe_keys` and :func:`dilate_keys`.
 
+Coordinate sets are deduplicated and ordered by sorting their keys.  Equal
+keys are the same coordinate, so no sort here needs to be stable: ``voxelize``
+and ``coarsen`` ask ``np.unique`` for no first-occurrence index (which would
+force a stable sort) and rebuild the distinct coordinates by unpacking the
+keys (:func:`_unpack_keys`).
+
 One gather-accumulate primitive, :func:`_accumulate`, adds gathered rows into
 indexed output rows: for each index list o in turn,
 ``out[dst[o]] += x[src[o]] @ W[o]``.  Its callers are the sparse convolution
@@ -58,12 +64,10 @@ def _as_coord_array(coords) -> np.ndarray:
 
 def _in_bounds(coords: np.ndarray) -> np.ndarray:
     """Mask of the (N, 4) coordinates that pack into the 64-bit key."""
-    xyz = coords[:, 1:]
-    return (
-        (coords[:, 0] >= 0)
-        & (coords[:, 0] < BATCH_BOUND)
-        & ((xyz >= -COORD_BOUND) & (xyz < COORD_BOUND)).all(axis=1)
-    )
+    ok = (coords[:, 0] >= 0) & (coords[:, 0] < BATCH_BOUND)
+    for axis in (1, 2, 3):
+        ok &= (coords[:, axis] >= -COORD_BOUND) & (coords[:, axis] < COORD_BOUND)
+    return ok
 
 
 def _pack_keys_unchecked(arr: np.ndarray) -> np.ndarray:
@@ -72,6 +76,15 @@ def _pack_keys_unchecked(arr: np.ndarray) -> np.ndarray:
     y = arr[:, 2] + COORD_BOUND
     z = arr[:, 3] + COORD_BOUND
     return (b << 48) | (x << 32) | (y << 16) | z
+
+
+def _unpack_keys(keys: np.ndarray) -> np.ndarray:
+    """The (N, 4) coordinates of packed ``keys``; inverse of :func:`pack_keys`."""
+    out = np.empty((keys.shape[0], 4), dtype=np.int64)
+    out[:, 0] = (keys >> 48) & (BATCH_BOUND - 1)
+    for col, shift in enumerate(KEY_XYZ_SHIFTS, start=1):
+        out[:, col] = ((keys >> shift) & (KEY_FIELD - 1)) - COORD_BOUND
+    return out
 
 
 def pack_keys(coords) -> np.ndarray:
@@ -180,10 +193,10 @@ def coarsen(coords: np.ndarray, factor: int):
     """
     down = coords.copy()
     down[:, 1:] = np.floor_divide(down[:, 1:], factor)
-    keys, first, inverse, counts = np.unique(
-        pack_keys(down), return_index=True, return_inverse=True, return_counts=True
+    keys, inverse, counts = np.unique(
+        pack_keys(down), return_inverse=True, return_counts=True
     )
-    return down[first], keys, inverse, counts
+    return _unpack_keys(keys), keys, inverse, counts
 
 
 class SparseTensor:
@@ -209,7 +222,7 @@ class SparseTensor:
             )
         self.features = feats
         self.keys = pack_keys(self.coords)
-        self._order = np.argsort(self.keys, kind="stable")
+        self._order = np.argsort(self.keys)
         self._sorted_keys = self.keys[self._order]
         if self.num_voxels > 1 and (np.diff(self._sorted_keys) == 0).any():
             raise DuplicateCoordError("duplicate voxel coordinates")
@@ -314,11 +327,13 @@ def voxelize(cloud: PointCloud, voxel_size: float, dtype=np.float32) -> SparseTe
     coords = np.concatenate(
         [np.zeros((vox.shape[0], 1), dtype=np.int64), vox], axis=1
     )
-    keys = pack_keys(coords)
-    uniq_keys, first_rows, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
+    keys, inverse, counts = np.unique(
+        pack_keys(coords), return_inverse=True, return_counts=True
     )
-    sums = np.zeros((uniq_keys.shape[0], cloud.attributes.shape[1]), dtype=np.float64)
-    np.add.at(sums, inverse, cloud.attributes)
+    attrs = cloud.attributes
+    sums = np.empty((keys.shape[0], attrs.shape[1]), dtype=np.float64)
+    for col in range(attrs.shape[1]):
+        # adds each voxel's points in row order from 0.0, as np.add.at does
+        sums[:, col] = np.bincount(inverse, weights=attrs[:, col], minlength=keys.shape[0])
     means = sums / counts[:, None]
-    return SparseTensor._from_sorted(coords[first_rows], uniq_keys, means.astype(dtype))
+    return SparseTensor._from_sorted(_unpack_keys(keys), keys, means.astype(dtype))

@@ -13,20 +13,33 @@ makes the pulled result equal a direct pairwise aggregation with an
 offset-dependent kernel, while the per-voxel work stays one push plus one
 pull no matter how large the (r * s)^3 receptive cube grows.
 
-The neighborhood sum is separable: it runs as three 1-D box sums over the
-occupied block set, along x, then y, then z, each one r shifted-key probes.
-Overlapping windows share their partial sums this way, so the block-level
-work grows with r rather than r^3.  The forward pass keeps each probe's
-(dst, src) row pairs, and the backward pass replays them transposed.
+The neighborhood sum is separable: it runs as three 1-D box sums, along x,
+then y, then z, each adding r shifted neighbors.  Overlapping windows share
+their partial sums this way, so the block-level work grows with r rather
+than r^3.  The gather plans the sum once per forward, and the backward pass
+replays the plan transposed.  There are two plans, chosen by occupancy alone:
 
-Summation order.  The push and every box-sum pass are calls of the library's
-one gather-accumulate primitive (``core._accumulate``), and the order it adds
-in is the library's, not numpy's.  A block proxy starts at +0.0 and adds its
-members' weighted features one at a time in ascending voxel row: slot j of
-the partition holds each block's j-th member.  A box-sum pass starts at +0.0
-and adds its r shifted neighbors in ascending offset; the transposed pass
-adds them in descending offset, which is the ascending order of the
-reflected window.
+* the block grid (:class:`BlockGrid`), when the occupied blocks fill at least
+  half of their (batch, x, y, z) bounding box, the rule of
+  ``core._accumulate``'s path 2.  The blocks are laid out in a zeroed dense
+  array of the box, each pass adds r shifted slices of the previous pass's
+  box, padded with zero cells along the pass's axis, and no key is probed;
+* the sorted-key plan (:class:`GatherSets`) otherwise: the occupied block
+  keys dilated along z, and then y, are the targets of the x and y passes,
+  and each pass probes its r offsets once and keeps the (dst, src) row pairs.
+
+Summation order.  The push and every key-plan pass are calls of the
+library's one gather-accumulate primitive (``core._accumulate``), and the
+order it adds in is the library's, not numpy's.  A block proxy starts at
++0.0 and adds its members' weighted features one at a time in ascending
+voxel row: slot j of the partition holds each block's j-th member.  A
+box-sum pass starts at +0.0 and adds its r shifted neighbors in ascending
+offset; the transposed pass adds them in descending offset, which is the
+ascending order of the reflected window.  Both plans add the same terms to
+every cell that feeds an output in that order, and where the key plan has no
+term (no block, or a move out of the packable box) the grid adds an empty
+cell's +0.0, which leaves an accumulator that started at +0.0 unchanged.
+So the two plans give the same bits.
 
 ``link_oracle`` is the quadratic-cost pairwise form of the same operator and
 serves as the correctness reference for ``link_forward``.
@@ -43,12 +56,13 @@ canonical per-batch choice.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import SparseTensor, _accumulate, coarsen, dilate_keys, probe_keys
+from .core import SparseTensor, _accumulate, _unpack_keys, coarsen, dilate_keys, probe_keys
 from .errors import ConfigError, DimensionError
 
 ORACLE_CHUNK_ELEMS = 1 << 22  # cap on pairwise work-array size per slice
@@ -149,8 +163,12 @@ def _kernel_parts(gen: KernelGenerator, coords_xyz: np.ndarray, dtype):
     if gen.mode == "pure":
         phase = x.astype(np.float64) @ gen.weight.T     # (N, C/g)
         if np.dtype(dtype) != np.float64:
-            turns = np.rint(phase / (2 * np.pi))
-            phase = (phase - 2 * np.pi * turns).astype(dtype)
+            # phase - 2pi * rint(phase / 2pi), in one float64 temporary
+            turns = np.divide(phase, 2 * np.pi)
+            np.rint(turns, out=turns)
+            turns *= 2 * np.pi
+            phase -= turns
+            phase = phase.astype(dtype)
         return phase, np.cos(phase), np.sin(phase)
     x = x.astype(dtype)
     phase = x @ gen.weight.astype(dtype, copy=False).T
@@ -271,9 +289,9 @@ def push_proxies(
 
 
 class GatherSets(NamedTuple):
-    """The gather's plan: the sorted block key sets its intermediate passes
-    are evaluated at, and every pass's row pairs, which ``link_backward``
-    replays transposed."""
+    """The gather's sorted-key plan: the sorted block key sets its
+    intermediate passes are evaluated at, and every pass's row pairs, which
+    ``link_backward`` replays transposed."""
 
     along_zy: np.ndarray   # x-pass targets: occupied blocks dilated along z, then y
     along_z: np.ndarray    # y-pass targets: occupied blocks dilated along z
@@ -281,16 +299,111 @@ class GatherSets(NamedTuple):
     passes: tuple
 
 
-def _box_sum(values, sets: GatherSets, adjoint=False):
+class BlockGrid(NamedTuple):
+    """The gather's dense plan, for blocks that fill at least half of their
+    bounding box in (batch, x, y, z) key fields."""
+
+    occupied: np.ndarray   # x-pass targets: the box's cells in key order, True at a block
+    box: tuple             # (batch, x, y, z) extent of the box
+    window: tuple          # (lo, hi) block offsets per axis
+
+
+def _key_plan(keys: np.ndarray, lo: int, hi: int) -> GatherSets:
+    """Probe the 3 x r (dst, src) pairs of the separable box sum over the
+    sorted block ``keys``, x pass first."""
+    along_z = dilate_keys(keys, 2, lo, hi)
+    along_zy = dilate_keys(along_z, 1, lo, hi)
+    passes = []
+    for dst, src, axis in ((along_zy, keys, 0), (along_z, along_zy, 1), (keys, along_z, 2)):
+        offset = [0, 0, 0]
+        probes = []
+        for d in range(lo, hi + 1):
+            offset[axis] = d
+            probes.append(probe_keys(dst, src, offset))
+        passes.append(tuple(zip(*probes)))
+    return GatherSets(along_zy, along_z, tuple(passes))
+
+
+def _grid_plan(keys: np.ndarray, lo: int, hi: int) -> Optional[BlockGrid]:
+    """The dense plan for the sorted block ``keys``, or None when they fill
+    less than half of their bounding box (the rule of ``_accumulate``'s
+    path 2).
+
+    The batch field is read signed, as the keys sort, so the box's C order
+    is key order and a block's cell rank is its row.
+    """
+    if keys.shape[0] == 0:
+        return None
+    coords = _unpack_keys(keys)
+    coords[:, 0] = keys >> 48
+    first = coords.min(axis=0)
+    box = tuple(int(n) + 1 for n in coords.max(axis=0) - first)
+    # Python integers: two corner blocks span up to 2^64 cells
+    if 2 * keys.shape[0] < math.prod(box):
+        return None
+    occupied = np.zeros(math.prod(box), dtype=bool)
+    occupied[np.ravel_multi_index((coords - first).T, box)] = True
+    return BlockGrid(occupied, box, (lo, hi))
+
+
+def _grid_pass(grid: np.ndarray, axis: int, shifts, out: np.ndarray) -> None:
+    """One 1-D pass on (batch, x, y, z, W) grids: each cell of ``out``, which
+    has the box's shape, adds the cells of ``grid`` ``shifts`` away along
+    spatial ``axis``, in order.  ``grid`` is the box padded with zero cells
+    on both sides of ``axis``."""
+    n = out.shape[axis + 1]
+    pad = (grid.shape[axis + 1] - n) // 2
+    index = [slice(None)] * 4
+    for d in shifts:
+        index[axis + 1] = slice(pad + d, pad + d + n)
+        out += grid[tuple(index)]
+
+
+def _grid_sum(values: np.ndarray, grid: BlockGrid, adjoint: bool) -> np.ndarray:
+    """``_box_sum`` on the dense plan: the blocks are laid out in their box,
+    and each pass adds r shifted slices of the previous pass's box, padded
+    with zeros along the pass's axis, into a zeroed box."""
+    lo, hi = grid.window
+    pad = max(-lo, hi)
+    axes, shifts = (0, 1, 2), range(lo, hi + 1)
+    if adjoint:
+        # offset d's transpose reads -d, offsets in descending order
+        axes, shifts = (2, 1, 0), range(-hi, -lo + 1)
+
+    def zeroed(axis):
+        """A zeroed box padded along spatial ``axis`` (none when None), and
+        its box-shaped view."""
+        shape = [*grid.box, values.shape[1]]
+        index = [slice(None)] * 4
+        if axis is not None:
+            shape[axis + 1] += 2 * pad
+            index[axis + 1] = slice(pad, pad + grid.box[axis + 1])
+        full = np.zeros(shape, values.dtype)
+        return full, full[tuple(index)]
+
+    mask = grid.occupied.reshape(grid.box)
+    dense, box = zeroed(axes[0])
+    box[mask] = values
+    for axis, after in zip(axes, axes[1:] + (None,)):
+        out, box = zeroed(after)
+        _grid_pass(dense, axis, shifts, box)
+        dense = out
+    return dense[mask]
+
+
+def _box_sum(values, sets, adjoint=False):
     """Sum of per-block ``values`` over each block's window, by ``sets``' plan.
 
-    Three 1-D passes, each one primitive call: x onto ``along_zy``, y onto
-    ``along_z``, z onto the blocks themselves, adding offsets in ascending
+    Three 1-D passes, x then y then z, each adding its r offsets in ascending
     order.  With ``adjoint`` the passes run transposed, z then y then x, each
-    with its pairs swapped and its offsets reversed: offset d's pairs swapped
-    are offset -d's of the reflected window, so this computes the transpose
-    of the forward sum exactly.
+    with its offsets reversed: offset d's pairs swapped are offset -d's of the
+    reflected window, so this computes the transpose of the forward sum
+    exactly.  On a :class:`GatherSets` plan each pass is one primitive call,
+    its pairs swapped in the adjoint; on a :class:`BlockGrid` it is r
+    shifted-slice adds.
     """
+    if isinstance(sets, BlockGrid):
+        return _grid_sum(values, sets, adjoint)
     sizes = [sets.along_zy.shape[0], sets.along_z.shape[0], values.shape[0]]
     passes = sets.passes
     if adjoint:
@@ -310,7 +423,7 @@ def _gather(
     drop_offset: Optional[Tuple[int, int, int]] = None,
 ):
     """Sum neighbor-block proxies and populations; returns (g_cos, g_sin,
-    count, sets) with the :class:`GatherSets` that ``link_backward`` needs.
+    count, sets) with the plan that ``link_backward`` replays.
 
     cos, sin and population run through one separable box sum side by side.
     The populations are integers, so their float sums, and the counts, are
@@ -320,17 +433,9 @@ def _gather(
     """
     lo, hi = neighbor_window(neighbor_range)
     keys = part.block_keys
-    along_z = dilate_keys(keys, 2, lo, hi)
-    along_zy = dilate_keys(along_z, 1, lo, hi)
-    passes = []
-    for dst, src, axis in ((along_zy, keys, 0), (along_z, along_zy, 1), (keys, along_z, 2)):
-        offset = [0, 0, 0]
-        probes = []
-        for d in range(lo, hi + 1):
-            offset[axis] = d
-            probes.append(probe_keys(dst, src, offset))
-        passes.append(tuple(zip(*probes)))
-    sets = GatherSets(along_zy, along_z, tuple(passes))
+    sets = _grid_plan(keys, lo, hi)
+    if sets is None:
+        sets = _key_plan(keys, lo, hi)
     c = proxies.shape[1] // 2
     stacked = np.concatenate(
         [proxies, part.populations[:, None].astype(proxies.dtype)], axis=1
@@ -395,7 +500,7 @@ class LinKState:
     g_cos: np.ndarray           # gathered neighborhood sums, (M, C)
     g_sin: np.ndarray
     count: np.ndarray           # voxels per block neighborhood, (M,)
-    gather_sets: GatherSets
+    gather_sets: Union[GatherSets, BlockGrid]
     normalize: bool
 
 
@@ -410,21 +515,20 @@ def anchored_xyz(t: SparseTensor) -> np.ndarray:
         return xyz.copy()
     order = t._order
     sorted_batches = t.coords[order, 0]
-    _, first = np.unique(sorted_batches, return_index=True)
-    anchor_rows = order[first]
-    # map each voxel's batch to its anchor row
-    batch_ids = np.searchsorted(sorted_batches[first], t.coords[:, 0])
-    anchors = t.coords[anchor_rows][:, 1:]
-    return xyz - anchors[batch_ids]
+    # key order keeps each batch in one run; the run's first row anchors it
+    first = np.flatnonzero(np.diff(sorted_batches, prepend=-1))
+    anchor_of = np.empty_like(order)
+    anchor_of[order] = np.repeat(order[first], np.diff(first, append=order.shape[0]))
+    return xyz - xyz[anchor_of]
 
 
 def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
     """Push -> gather -> pull composition of the block-proxy operator.
 
     Per-voxel cost does not depend on the kernel extent: each voxel
-    contributes one push and one pull.  Gathering is three 1-D box sums over
-    the occupied blocks, dilated along the axes still to be summed, so its
-    work grows with r, not r^3.
+    contributes one push and one pull.  Gathering is three 1-D box sums, on
+    the blocks' dense bounding box or over the occupied blocks dilated along
+    the axes still to be summed, so its work grows with r, not r^3.
 
     Precision: pure mode computes in the feature dtype, after forming a
     narrower kernel phase in float64 (see ``_kernel_parts``).  Augmented mode

@@ -41,6 +41,15 @@ class TestPackKey:
         by_coord = coords[np.lexsort(coords.T[::-1])]
         assert np.array_equal(by_key, by_coord)
 
+    def test_unpack_inverts_pack(self, rng):
+        top, bottom = 2 ** 15 - 1, -(2 ** 15)
+        coords = np.concatenate([
+            rng.integers([0, bottom, bottom, bottom], [2 ** 16, top + 1, top + 1, top + 1],
+                         size=(200, 4)),
+            [(0, bottom, bottom, bottom), (2 ** 16 - 1, top, top, top), (2 ** 15, 0, -1, 1)],
+        ])
+        assert np.array_equal(core._unpack_keys(pack_keys(coords)), coords)
+
     @pytest.mark.parametrize(
         "coord",
         [(0, 2 ** 15, 0, 0), (0, 0, -(2 ** 15) - 1, 0), (-1, 0, 0, 0), (2 ** 16, 0, 0, 0)],
@@ -211,6 +220,26 @@ class TestVoxelize:
         assert t.num_voxels == 0
         assert t.coords.shape == (0, 4) and t.features.shape == (0, 1)
         assert t.lookup(np.zeros((1, 4), dtype=np.int64)).tolist() == [-1]
+
+    def test_means_bits_equal_sequential_adds(self, rng):
+        # each voxel adds its points in row order from 0.0, as np.add.at does
+        points = rng.uniform(-1, 1, size=(2000, 3))
+        attrs = rng.normal(size=(2000, 3))
+        t = voxelize(PointCloud(points, attrs), 0.1, dtype=np.float64)
+        rows = np.searchsorted(t.keys, pack_keys(
+            np.concatenate([np.zeros((2000, 1), np.int64),
+                            np.floor(points / 0.1).astype(np.int64)], axis=1)))
+        sums = np.zeros((t.num_voxels, 3))
+        np.add.at(sums, rows, attrs)
+        means = sums / np.bincount(rows)[:, None]
+        assert t.features.tobytes() == means.tobytes()
+
+    def test_no_attribute_columns(self, rng):
+        points = rng.uniform(-1, 1, size=(100, 3))
+        t = voxelize(PointCloud(points, np.zeros((100, 0))), 0.5)
+        assert t.num_voxels > 1 and t.features.shape == (t.num_voxels, 0)
+        empty = voxelize(PointCloud(np.zeros((0, 3)), np.zeros((0, 0))), 0.5)
+        assert empty.coords.shape == (0, 4) and empty.features.shape == (0, 0)
 
     def test_key_cache_equals_a_fresh_tensor(self, rng):
         # voxelize reuses its sorted unique keys instead of packing and sorting again

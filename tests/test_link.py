@@ -222,6 +222,19 @@ class TestPushGatherPull:
                 atol=1e-12,
             )
 
+    def test_anchor_is_each_batch_smallest_key_voxel(self, rng):
+        # batches from 2^15 up pack into negative keys and sort first
+        coords = np.unique(np.concatenate(
+            [rng.integers([0, -9, -9, -9], [3, 9, 9, 9], size=(300, 4)),
+             rng.integers([40000, -9, -9, -9], [40002, 9, 9, 9], size=(200, 4))]), axis=0)
+        t = permuted(SparseTensor(coords, np.zeros((coords.shape[0], 1))), rng)
+        expected = np.empty((t.num_voxels, 3), np.int64)
+        for b in np.unique(t.coords[:, 0]):
+            rows = np.flatnonzero(t.coords[:, 0] == b)
+            anchor = t.coords[rows[np.argmin(t.keys[rows])], 1:]
+            expected[rows] = t.coords[rows, 1:] - anchor
+        assert np.array_equal(anchored_xyz(t), expected)
+
     def test_pull_two_voxels_closed_form(self, rng):
         # both voxels share one block; r = 1
         t = SparseTensor(
@@ -344,23 +357,27 @@ class TestSeparableGather:
                                             (2, 4, False), (3, 5, False), (7, 2, False)])
     def test_box_sum_bits_match_per_offset_formula(self, s, r, corner, rng):
         t = corner_scene(rng, 1) if corner else make_scene(rng, 900, 30, 1, batches=2)
-        part, proxies = pushed(t, s, rng)
-        _, _, _, sets = link._gather(part, proxies, r)
+        part, _ = pushed(t, s, rng)
+        keys = part.block_keys
         lo, hi = link.neighbor_window(r)
+        plans = [link._key_plan(keys, lo, hi), link._grid_plan(keys, lo, hi)]
+        plans = [p for p in plans if p is not None]
         for dtype in (np.float32, np.float64):
             v = rng.normal(size=(part.num_blocks, 5)).astype(dtype)
-            box = link._box_sum(v, sets)
-            box_t = link._box_sum(v, sets, adjoint=True)
-            assert box.tobytes() == reference_box_sum(v, part.block_keys, sets, lo, hi).tobytes()
-            assert box_t.tobytes() == reference_box_sum(
-                v, part.block_keys, sets, lo, hi, adjoint=True).tobytes()
+            ref = reference_box_sum(v, keys, lo, hi).tobytes()
+            ref_t = reference_box_sum(v, keys, lo, hi, adjoint=True).tobytes()
+            for sets in plans:
+                assert link._box_sum(v, sets).tobytes() == ref
+                assert link._box_sum(v, sets, adjoint=True).tobytes() == ref_t
 
 
-def reference_box_sum(values, keys, sets, lo, hi, adjoint=False):
+def reference_box_sum(values, keys, lo, hi, adjoint=False):
     """The per-offset formula the planned box sum replaced: each pass probes
     its r offsets in ascending order and adds ``out[rows] += values[src]``;
     the adjoint runs the passes z, y, x over the reflected window."""
-    passes = [(sets.along_zy, keys, 0), (sets.along_z, sets.along_zy, 1), (keys, sets.along_z, 2)]
+    along_z = link.dilate_keys(keys, 2, lo, hi)
+    along_zy = link.dilate_keys(along_z, 1, lo, hi)
+    passes = [(along_zy, keys, 0), (along_z, along_zy, 1), (keys, along_z, 2)]
     if adjoint:
         passes = [(src, dst, axis) for dst, src, axis in reversed(passes)]
         lo, hi = -hi, -lo
@@ -373,6 +390,85 @@ def reference_box_sum(values, keys, sets, lo, hi, adjoint=False):
             out[rows] += values[cols]
         values = out
     return values
+
+
+def dense_scene(rng, edge, batches, corner=None):
+    """Row-permuted cubes of ``edge`` voxels per side, one per batch, each
+    with 30% of its voxels dropped; ``corner`` "top" or "bottom" puts them at
+    that corner of the packable box."""
+    axis = np.arange(edge)
+    cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    start = {None: rng.integers(-20, 20, size=3), "top": 2 ** 15 - edge,
+             "bottom": -(2 ** 15)}[corner]
+    parts = []
+    for b in range(batches):
+        kept = cube[rng.random(cube.shape[0]) < 0.7] + start
+        parts.append(np.concatenate([np.full((kept.shape[0], 1), b), kept], axis=1))
+    coords = np.concatenate(parts)
+    return permuted(SparseTensor(coords, rng.normal(size=(coords.shape[0], 2))), rng)
+
+
+class TestGridPlan:
+    """The dense block grid against the sorted-key plan, bit for bit."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_grid_bits_equal_key_plan(self, s, r, monkeypatch):
+        rng = np.random.default_rng(100 * s + r)
+        batches = 1 + (s + r) % 3
+        scenes = [dense_scene(rng, 2 * s + 5, batches)]
+        if s == 1:
+            scenes += [dense_scene(rng, 6, 2, "top"), dense_scene(rng, 6, 1, "bottom")]
+        lo, hi = link.neighbor_window(r)
+        for t in scenes:
+            part = partition_blocks(t, s)
+            grid = link._grid_plan(part.block_keys, lo, hi)
+            assert isinstance(grid, link.BlockGrid)
+            keys = link._key_plan(part.block_keys, lo, hi)
+            for dtype in (np.float32, np.float64):
+                v = rng.normal(size=(part.num_blocks, 5)).astype(dtype)
+                for adjoint in (False, True):
+                    assert (link._box_sum(v, grid, adjoint).tobytes()
+                            == link._box_sum(v, keys, adjoint).tobytes())
+                proxies = rng.normal(size=(part.num_blocks, 4)).astype(dtype)
+                for drop in (None, (0, 0, hi), (lo, 0, 0)):
+                    on_grid = link._gather(part, proxies, r, drop_offset=drop)
+                    with monkeypatch.context() as m:
+                        m.setattr(link, "_grid_plan", lambda *args: None)
+                        on_keys = link._gather(part, proxies, r, drop_offset=drop)
+                    assert isinstance(on_grid[3], link.BlockGrid)
+                    assert isinstance(on_keys[3], link.GatherSets)
+                    for a, b in zip(on_grid[:3], on_keys[:3]):
+                        assert a.tobytes() == b.tobytes()
+
+    def test_choice_reads_occupancy(self, rng):
+        dense = dense_scene(rng, 11, 2)
+        far = dense.coords.copy()
+        far[far[:, 0] == 1, 1] += 3000   # batch 1 moves far along x
+        sparse = make_scene(rng, 300, 60, 1)
+        for t, plan in ((dense, link.BlockGrid),
+                        (SparseTensor(far, dense.features), link.GatherSets),
+                        (sparse, link.GatherSets),
+                        (corner_scene(rng, 1), link.GatherSets)):
+            part, proxies = pushed(t, 3, rng)
+            assert isinstance(link._gather(part, proxies, 3)[3], plan)
+        top, bottom = 2 ** 15 - 1, -(2 ** 15)
+        for coords, plan in (
+            # 2 blocks in a box of 4 fill half of it; in a box of 5, less
+            ([(0, 0, 0, 0), (0, 3, 0, 0)], link.BlockGrid),
+            ([(0, 0, 0, 0), (0, 4, 0, 0)], link.GatherSets),
+            # 2^16 batches by 2^48 cells: 2^64 wraps to 0 in int64
+            ([(2 ** 15 - 1, top, top, top), (2 ** 15, bottom, bottom, bottom)], link.GatherSets),
+        ):
+            part, proxies = pushed(SparseTensor(coords, np.ones((2, 1))), 1, rng)
+            assert isinstance(link._gather(part, proxies, 2)[3], plan)
+
+    def test_first_field_counts_x_pass_targets(self, rng):
+        t = dense_scene(rng, 12, 1)
+        part, proxies = pushed(t, 3, rng)
+        grid = link._gather(part, proxies, 5)[3]
+        assert grid[0].shape[0] == int(np.prod(grid.box))
+        assert int(grid.occupied.sum()) == part.num_blocks
 
 
 def push_loop(part, features, k_cos, k_sin):
@@ -570,19 +666,33 @@ class TestInvariances:
 
 def x_pass_reads(monkeypatch, t, cfg):
     """Proxy rows the gather's first (x) pass reads in one ``link_forward``:
-    the rows found by its first r key probes."""
+    on the key plan the rows found by its first r key probes, on the grid
+    plan the cells holding a block (population column nonzero) that its r
+    shifted slices cover."""
     probe = link.probe_keys
+    grid_pass = link._grid_pass
     found = []
+    read = []
 
     def counting(*args):
         rows, src = probe(*args)
         found.append(rows.shape[0])
         return rows, src
 
+    def counting_pass(grid, axis, shifts, out):
+        if not read:
+            n = out.shape[1]
+            pad = (grid.shape[1] - n) // 2
+            held = grid[..., -1] != 0
+            read.append(sum(int(held[:, pad + d : pad + d + n].sum()) for d in shifts))
+        grid_pass(grid, axis, shifts, out)
+
     with monkeypatch.context() as m:
         m.setattr(link, "probe_keys", counting)
+        m.setattr(link, "_grid_pass", counting_pass)
         link_forward(t, cfg)
-    return sum(found[: cfg.neighbor_range])
+    assert not (found and read), "one gather ran both plans"
+    return sum(found[: cfg.neighbor_range]) + sum(read)
 
 
 class TestCounters:
