@@ -3,9 +3,11 @@
 Coordinates are batched integer voxel positions ``(batch, x, y, z)``.  Each
 spatial component must lie in ``[-2**15, 2**15)`` so that the whole coordinate
 packs injectively into one 64-bit key with the fixed layout
-``batch(16) | x+2^15 (16) | y+2^15 (16) | z+2^15 (16)``.  That bound covers
-roughly +-1638 m at a 0.05 m voxel size.  Every coordinate search runs in
-this key space, through :func:`probe_keys` and :func:`dilate_keys`.
+``batch-2^15 (16) | x+2^15 (16) | y+2^15 (16) | z+2^15 (16)``.  That bound
+covers roughly +-1638 m at a 0.05 m voxel size.  The batch field is the
+signed top of the signed key, so key order is lexicographic (batch, x, y, z)
+order for every packable coordinate.  Every coordinate search runs in this
+key space, through :func:`probe_keys` and :func:`dilate_keys`.
 
 Coordinate sets are deduplicated and ordered by sorting their keys.  Equal
 keys are the same coordinate, so no sort here needs to be stable: ``voxelize``
@@ -16,10 +18,9 @@ keys (:func:`_unpack_keys`).
 One gather-accumulate primitive, :func:`_accumulate`, adds gathered rows into
 indexed output rows: for each index list o in turn,
 ``out[dst[o]] += x[src[o]] @ W[o]``.  Its callers are the sparse convolution
-(forward and the features' gradient, one list per kernel offset) and LinK
-(the push, one list per member slot, with ``weights=None``: the gathered rows
-are added as they are; and each pass of the separable box sum, one list per
-block offset).  How a list's rows are added depends on how many out rows it
+(forward and the features' gradient, one list per kernel offset) and each
+pass of LinK's separable box sum on its sorted-key plan (one list per block
+offset, with ``weights=None``: the gathered rows are added as they are).  How a list's rows are added depends on how many out rows it
 covers:
 
 1. all of them, in row order: ``out += prod``;
@@ -71,7 +72,7 @@ def _in_bounds(coords: np.ndarray) -> np.ndarray:
 
 
 def _pack_keys_unchecked(arr: np.ndarray) -> np.ndarray:
-    b = arr[:, 0]
+    b = arr[:, 0] - BATCH_BOUND // 2
     x = arr[:, 1] + COORD_BOUND
     y = arr[:, 2] + COORD_BOUND
     z = arr[:, 3] + COORD_BOUND
@@ -81,7 +82,7 @@ def _pack_keys_unchecked(arr: np.ndarray) -> np.ndarray:
 def _unpack_keys(keys: np.ndarray) -> np.ndarray:
     """The (N, 4) coordinates of packed ``keys``; inverse of :func:`pack_keys`."""
     out = np.empty((keys.shape[0], 4), dtype=np.int64)
-    out[:, 0] = (keys >> 48) & (BATCH_BOUND - 1)
+    out[:, 0] = (keys >> 48) + BATCH_BOUND // 2
     for col, shift in enumerate(KEY_XYZ_SHIFTS, start=1):
         out[:, col] = ((keys >> shift) & (KEY_FIELD - 1)) - COORD_BOUND
     return out

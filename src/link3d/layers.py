@@ -26,21 +26,29 @@ class LayerNormParams:
         return cls(np.ones(channels, dtype=dtype), np.zeros(channels, dtype=dtype))
 
 
+def _into(op, a, b, out: np.ndarray) -> np.ndarray:
+    """``op(a, b)``, written into ``out`` when the result has ``out``'s dtype."""
+    return op(a, b, out=out if np.result_type(a, b) == out.dtype else None)
+
+
 def layer_norm_forward(x: np.ndarray, params: LayerNormParams, eps: float = LN_EPS):
     """Normalize each row over channels, then apply per-channel scale/shift.
 
-    Returns (y, cache) where cache feeds :func:`layer_norm_backward`.
+    Returns (y, cache) where cache feeds :func:`layer_norm_backward`.  Works
+    in place where the dtypes allow, with the bits of the plain formulas.
     """
     if x.shape[1] != params.scale.shape[0]:
         raise DimensionError(
             f"LayerNorm over {params.scale.shape[0]} channels applied to {x.shape[1]}"
         )
     mean = x.mean(axis=1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    x_hat = x - mean            # centered, normalized in place below
+    sq = x_hat * x_hat
+    var = sq.mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centered * inv_std
-    y = x_hat * params.scale + params.shift
+    x_hat *= inv_std
+    y = _into(np.multiply, x_hat, params.scale, sq)
+    y = _into(np.add, y, params.shift, y)
     return y, (x_hat, inv_std, params.scale)
 
 
@@ -48,15 +56,20 @@ def layer_norm_backward(grad_y: np.ndarray, cache, params: bool = True):
     """Gradients of layer_norm_forward w.r.t. input, scale, and shift.
 
     With ``params=False`` only the input gradient is computed; the scale and
-    shift gradients come back as None.
+    shift gradients come back as None.  The input gradient,
+    ``inv_std * (g - mean(g) - x_hat * mean(g * x_hat))`` with
+    ``g = grad_y * scale``, is formed in place where the dtypes allow.
     """
     x_hat, inv_std, scale = cache
     grad_shift = grad_y.sum(axis=0) if params else None
     grad_scale = (grad_y * x_hat).sum(axis=0) if params else None
     g = grad_y * scale
     g_mean = g.mean(axis=1, keepdims=True)
-    gx_mean = (g * x_hat).mean(axis=1, keepdims=True)
-    grad_x = inv_std * (g - g_mean - x_hat * gx_mean)
+    gx = g * x_hat
+    gx_mean = gx.mean(axis=1, keepdims=True)
+    g -= g_mean
+    grad_x = _into(np.subtract, g, np.multiply(x_hat, gx_mean, out=gx), g)
+    grad_x = _into(np.multiply, grad_x, inv_std, grad_x)
     return grad_x, grad_scale, grad_shift
 
 

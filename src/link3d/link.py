@@ -13,6 +13,23 @@ makes the pulled result equal a direct pairwise aggregation with an
 offset-dependent kernel, while the per-voxel work stays one push plus one
 pull no matter how large the (r * s)^3 receptive cube grows.
 
+Per-voxel work runs in row tiles.  The kernel generation (the phase's matrix
+product, its float64 range reduction and cos/sin), the pull, and the
+backward's ``grad_out / count`` and kernel gradient each run one tile of
+``TILE_ROWS`` rows at a time into preallocated outputs, so their temporaries
+stay in cache.  Every step is elementwise or a per-row product, so a tile
+gives the bits of the whole array.  The one exception is a one-row matrix
+product, which numpy runs on its vector path, so no tile has one row unless
+the whole input does.  The reductions over rows, the weight gradient's
+matrix product and augmented mode's frequency-gradient sum, run on the whole
+array.
+
+The push sums each block's members in *slots*: slot j holds the j-th member
+of every block with more than j members.  Blocks are ranked by descending
+population, so slot j's blocks are the first n_j ranks.  Slot j then adds
+its gathered rows to the first n_j rows of a rank-ordered accumulator with
+no scatter, and one gather puts the sums back in key order.
+
 The neighborhood sum is separable: it runs as three 1-D box sums, along x,
 then y, then z, each adding r shifted neighbors.  Overlapping windows share
 their partial sums this way, so the block-level work grows with r rather
@@ -28,18 +45,17 @@ replays the plan transposed.  There are two plans, chosen by occupancy alone:
   keys dilated along z, and then y, are the targets of the x and y passes,
   and each pass probes its r offsets once and keeps the (dst, src) row pairs.
 
-Summation order.  The push and every key-plan pass are calls of the
-library's one gather-accumulate primitive (``core._accumulate``), and the
-order it adds in is the library's, not numpy's.  A block proxy starts at
+Summation order is the library's, not numpy's.  A block proxy starts at
 +0.0 and adds its members' weighted features one at a time in ascending
-voxel row: slot j of the partition holds each block's j-th member.  A
-box-sum pass starts at +0.0 and adds its r shifted neighbors in ascending
-offset; the transposed pass adds them in descending offset, which is the
-ascending order of the reflected window.  Both plans add the same terms to
-every cell that feeds an output in that order, and where the key plan has no
-term (no block, or a move out of the packable box) the grid adds an empty
-cell's +0.0, which leaves an accumulator that started at +0.0 unchanged.
-So the two plans give the same bits.
+voxel row, one slot at a time.  A box-sum pass starts at +0.0 and adds its r
+shifted neighbors in ascending offset; on the key plan each pass is a call
+of the library's one gather-accumulate primitive (``core._accumulate``).  The
+transposed pass adds them in descending offset, which is the ascending order
+of the reflected window.  Both plans add the same terms to every cell that
+feeds an output in that order.  Where the key plan has no term (no block, or
+a move out of the packable box), the grid adds an empty cell's +0.0, which
+leaves an accumulator that started at +0.0 unchanged.  So the two plans give
+the same bits.
 
 ``link_oracle`` is the quadratic-cost pairwise form of the same operator and
 serves as the correctness reference for ``link_forward``.
@@ -66,6 +82,7 @@ from .core import SparseTensor, _accumulate, _unpack_keys, coarsen, dilate_keys,
 from .errors import ConfigError, DimensionError
 
 ORACLE_CHUNK_ELEMS = 1 << 22  # cap on pairwise work-array size per slice
+TILE_ROWS = 1024                # rows per tile of the per-voxel chains
 
 
 # ---------------------------------------------------------------------------
@@ -143,25 +160,29 @@ def _working_dtype(mode: str, dtype) -> np.dtype:
     return np.dtype(dtype)
 
 
-def _tile_groups(gen_vals: np.ndarray, groups: int) -> np.ndarray:
-    if groups == 1:
-        return gen_vals
-    return np.tile(gen_vals, (1, groups))
+def _tiles(n: int):
+    """Row slices of ``TILE_ROWS`` rows covering ``range(n)``.
+
+    A one-row tail joins the tile before it: numpy multiplies a one-row matrix
+    on its vector path, whose bits differ from the matrix path's, so only a
+    one-row input makes a one-row tile.
+    """
+    bounds = list(range(0, n, TILE_ROWS))
+    if n > 1 and n % TILE_ROWS == 1:
+        bounds.pop()
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [n])]
 
 
-def _kernel_parts(gen: KernelGenerator, coords_xyz: np.ndarray, dtype):
-    """Phase and generated-width cos/sin values, before group tiling.
+def _kernel_tile(gen: KernelGenerator, x: np.ndarray, dtype):
+    """Phase and generated-width cos/sin values of the coordinate rows ``x``.
 
     A pure-mode phase narrower than float64 is formed in float64 and reduced
     to [-pi, pi] before rounding: at coordinates in the thousands a float32
     product carries an absolute error of about 1e-4, which cos/sin would pass
     straight on to the kernel.
     """
-    x = np.asarray(coords_xyz)
-    if x.ndim != 2 or x.shape[1] != 3:
-        raise DimensionError(f"coords must be (N, 3), got shape {x.shape}")
     if gen.mode == "pure":
-        phase = x.astype(np.float64) @ gen.weight.T     # (N, C/g)
+        phase = x.astype(np.float64) @ gen.weight.T     # (rows, C/g)
         if np.dtype(dtype) != np.float64:
             # phase - 2pi * rint(phase / 2pi), in one float64 temporary
             turns = np.divide(phase, 2 * np.pi)
@@ -170,11 +191,34 @@ def _kernel_parts(gen: KernelGenerator, coords_xyz: np.ndarray, dtype):
             phase -= turns
             phase = phase.astype(dtype)
         return phase, np.cos(phase), np.sin(phase)
-    x = x.astype(dtype)
-    phase = x @ gen.weight.astype(dtype, copy=False).T
+    phase = x.astype(dtype) @ gen.weight.astype(dtype, copy=False).T
     freq = gen.frequency.astype(dtype, copy=False)
     scaled = freq * phase
     return phase, np.cos(scaled) + phase, np.sin(scaled) + phase
+
+
+def _kernel_parts(gen: KernelGenerator, coords_xyz: np.ndarray, dtype):
+    """Group-tiled (N, C) cos/sin kernels, and the generated-width phase that
+    augmented mode's backward reads (None in pure mode).
+
+    Formed one row tile at a time (``_kernel_tile``), so the float64 phase
+    and its range reduction stay in cache.
+    """
+    x = np.asarray(coords_xyz)
+    if x.ndim != 2 or x.shape[1] != 3:
+        raise DimensionError(f"coords must be (N, 3), got shape {x.shape}")
+    n, gc = x.shape[0], gen.gen_channels
+    k_cos = np.empty((n, gen.channels), dtype)
+    k_sin = np.empty_like(k_cos)
+    phase = np.empty((n, gc), dtype) if gen.mode == "augmented" else None
+    for rows in _tiles(n):
+        ph, kc, ks = _kernel_tile(gen, x[rows], dtype)
+        # the generated channels, block-repeated across the groups
+        k_cos[rows].reshape(-1, gen.groups, gc)[:] = kc[:, None]
+        k_sin[rows].reshape(-1, gen.groups, gc)[:] = ks[:, None]
+        if phase is not None:
+            phase[rows] = ph
+    return phase, k_cos, k_sin
 
 
 def generate_kernel(gen: KernelGenerator, coords_xyz, dtype=np.float64):
@@ -184,7 +228,7 @@ def generate_kernel(gen: KernelGenerator, coords_xyz, dtype=np.float64):
     frequency and the identity term, (cos(a.Wx) + Wx, sin(a.Wx) + Wx).
     """
     _, k_cos, k_sin = _kernel_parts(gen, coords_xyz, dtype)
-    return _tile_groups(k_cos, gen.groups), _tile_groups(k_sin, gen.groups)
+    return k_cos, k_sin
 
 
 def count_dense_kernel_params(kernel_size: int, c_in: int, c_out: int) -> int:
@@ -209,7 +253,9 @@ class BlockPartition:
     """Assignment of every voxel to its floor-divided block.
 
     Blocks are numbered in ascending packed-key order of their (batch, bx,
-    by, bz) coordinates; only non-empty blocks exist.
+    by, bz) coordinates; only non-empty blocks exist.  Their *rank* orders
+    them by descending population, ties in key order, so the blocks with
+    more than j members are the ranks below some n_j.
     """
 
     block_size: int
@@ -217,12 +263,12 @@ class BlockPartition:
     block_keys: np.ndarray         # (M,) packed keys, ascending
     voxel_block: np.ndarray        # (N,) block id per voxel row
     populations: np.ndarray        # (M,) member counts
-    row_order: np.ndarray          # (N,) voxel rows grouped by block id
+    row_order: np.ndarray          # (N,) voxel rows grouped by block id, ascending within
     segment_starts: np.ndarray     # (M,) start of each block's run in row_order
-    # slot j: the j-th member row of every block with more than j members,
-    # and those blocks' ids, both ascending
+    pop_rank: np.ndarray           # (M,) each block's rank
+    # slot j: the j-th smallest member row of each of the n_j blocks with
+    # more than j members, in rank order
     slot_rows: List[np.ndarray]
-    slot_blocks: List[np.ndarray]
 
     @property
     def num_blocks(self) -> int:
@@ -234,14 +280,16 @@ def partition_blocks(t: SparseTensor, block_size: int) -> BlockPartition:
     if block_size < 1:
         raise ConfigError(f"block size must be >= 1, got {block_size}")
     blocks, keys, inverse, counts = coarsen(t.coords, block_size)
-    row_order = np.argsort(inverse, kind="stable")
-    grouped = inverse[row_order]
-    starts = np.searchsorted(grouped, np.arange(keys.shape[0]))
-    # each member's rank in its block, below s^3; a stable sort by rank keeps
-    # the blocks ascending within every slot (narrow ranks sort by radix)
-    rank = np.arange(row_order.shape[0]) - starts[grouped]
-    by_slot = np.argsort(rank.astype(np.min_scalar_type(block_size ** 3)), kind="stable")
-    ends = np.cumsum(np.bincount(rank))
+    m = keys.shape[0]
+    # a stable sort keeps each block's rows ascending; narrow ids sort by radix
+    row_order = np.argsort(inverse.astype(np.min_scalar_type(max(m - 1, 0))), kind="stable")
+    starts = np.cumsum(counts) - counts
+    by_rank = np.argsort(-counts, kind="stable")
+    pop_rank = np.empty(m, dtype=np.int64)
+    pop_rank[by_rank] = np.arange(m)
+    first = starts[by_rank]
+    # at_least[k]: the number of blocks with at least k members
+    at_least = np.cumsum(np.bincount(counts)[::-1])[::-1]
     return BlockPartition(
         block_size=block_size,
         block_coords=blocks,
@@ -250,8 +298,8 @@ def partition_blocks(t: SparseTensor, block_size: int) -> BlockPartition:
         populations=counts,
         row_order=row_order,
         segment_starts=starts,
-        slot_rows=np.split(row_order[by_slot], ends)[:-1],
-        slot_blocks=np.split(grouped[by_slot], ends)[:-1],
+        pop_rank=pop_rank,
+        slot_rows=[row_order[first[:n] + j] for j, n in enumerate(at_least[1:])],
     )
 
 
@@ -273,18 +321,26 @@ def push_proxies(
     """Deposit every voxel's kernel-weighted feature into its block proxy.
 
     Returns the per-block sums as one (M, 2C) array, ``[cos | sin]``, each
-    summed from +0.0 over the block's members in ascending row order.
+    summed from +0.0 over the block's members in ascending row order.  Each
+    half sums in rank order: slot j adds its rows to the first n_j
+    accumulators, and one gather puts the blocks back in key order.
     """
     n = part.voxel_block.shape[0]
     if features.shape[0] != n or k_cos.shape != features.shape or k_sin.shape != features.shape:
         raise DimensionError("features and kernel weights must share shape (N, C)")
     c = features.shape[1]
     dtype = np.result_type(k_cos, features)
-    weighted = np.empty((n, 2 * c), dtype)
-    np.multiply(k_cos, features, out=weighted[:, :c])
-    np.multiply(k_sin, features, out=weighted[:, c:])
-    proxies = np.zeros((part.num_blocks, 2 * c), dtype)
-    _accumulate(proxies, weighted, part.slot_rows, part.slot_blocks)
+    proxies = np.empty((part.num_blocks, 2 * c), dtype)
+    weighted = np.empty(features.shape, dtype)
+    buf = np.empty((part.num_blocks, c), dtype)
+    for half, k in enumerate((k_cos, k_sin)):
+        np.multiply(k, features, out=weighted)
+        acc = np.zeros((part.num_blocks, c), dtype)
+        for rows in part.slot_rows:
+            m = rows.shape[0]
+            # rows are in range by construction; "clip" fills buf unbuffered
+            acc[:m] += np.take(weighted, rows, axis=0, out=buf[:m], mode="clip")
+        np.take(acc, part.pop_rank, axis=0, out=proxies[:, half * c : (half + 1) * c])
     return proxies
 
 
@@ -329,13 +385,12 @@ def _grid_plan(keys: np.ndarray, lo: int, hi: int) -> Optional[BlockGrid]:
     less than half of their bounding box (the rule of ``_accumulate``'s
     path 2).
 
-    The batch field is read signed, as the keys sort, so the box's C order
-    is key order and a block's cell rank is its row.
+    Key order is coordinate order, so the box's C order is key order and a
+    block's cell rank is its row.
     """
     if keys.shape[0] == 0:
         return None
     coords = _unpack_keys(keys)
-    coords[:, 0] = keys >> 48
     first = coords.min(axis=0)
     box = tuple(int(n) + 1 for n in coords.max(axis=0) - first)
     # Python integers: two corner blocks span up to 2^64 cells
@@ -459,9 +514,14 @@ def pull(
 ) -> np.ndarray:
     """Per-voxel aggregates, (N, C), from the block sums ``_gather`` returns."""
     b = part.voxel_block
-    out = g_cos[b] * k_cos + g_sin[b] * k_sin
-    if normalize:
-        out = out / count[b][:, None].astype(out.dtype)
+    out = np.empty(k_cos.shape, np.result_type(g_cos, g_sin, k_cos, k_sin))
+    for rows in _tiles(b.shape[0]):
+        br = b[rows]
+        tile = g_cos[br] * k_cos[rows]
+        tile += g_sin[br] * k_sin[rows]
+        if normalize:
+            tile /= count[br][:, None].astype(out.dtype)
+        out[rows] = tile
     return out
 
 
@@ -494,7 +554,7 @@ class LinKState:
 
     partition: BlockPartition
     anchored_xyz: np.ndarray
-    phase: np.ndarray
+    phase: Optional[np.ndarray]  # augmented mode's (N, C/g) phase; None in pure mode
     k_cos: np.ndarray
     k_sin: np.ndarray
     g_cos: np.ndarray           # gathered neighborhood sums, (M, C)
@@ -543,9 +603,7 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
         )
     work = _working_dtype(cfg.generator.mode, t.dtype)
     coords = anchored_xyz(t)
-    phase, kc_g, ks_g = _kernel_parts(cfg.generator, coords, work)
-    k_cos = _tile_groups(kc_g, cfg.generator.groups)
-    k_sin = _tile_groups(ks_g, cfg.generator.groups)
+    phase, k_cos, k_sin = _kernel_parts(cfg.generator, coords, work)
     part = partition_blocks(t, cfg.block_size)
     proxies = push_proxies(part, t.features.astype(work, copy=False), k_cos, k_sin)
     g_cos, g_sin, count, sets = _gather(part, proxies, cfg.neighbor_range)
@@ -589,55 +647,67 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
     part = state.partition
     b = part.voxel_block
     dtype = _working_dtype(gen.mode, t.features.dtype)
+    n, c = grad_out.shape
 
     g = grad_out
     if state.normalize:
-        g = grad_out / state.count[b][:, None].astype(dtype)
+        g = np.empty((n, c), np.result_type(grad_out, dtype))
+        for rows in _tiles(n):
+            np.divide(grad_out[rows], state.count[b[rows]][:, None].astype(dtype), out=g[rows])
 
     # pull: out = g_cos[b] * k_cos + g_sin[b] * k_sin; its adjoint in the
     # gathered sums is push's per-block segment sum
     dg = push_proxies(part, g, state.k_cos, state.k_sin)
 
     # gather: the forward's box-sum plan, replayed transposed
-    c = g.shape[1]
     dproxy = _box_sum(dg, state.gather_sets, adjoint=True)
     dproxy_cos, dproxy_sin = dproxy[:, :c], dproxy[:, c:]
 
-    # push: proxy = sum over members of k * f; its adjoint is a pull
-    grad_features = pull(
-        part, dproxy_cos, dproxy_sin, state.count, state.k_cos, state.k_sin, normalize=False
-    ).astype(t.features.dtype, copy=False)
+    # push: proxy = sum over members of k * f; its adjoint is a pull.  It
+    # runs one row tile at a time, and with ``params`` each tile's gathered
+    # dproxy rows also feed the kernels' gradient: the pull's term, then the
+    # push's, with the group tiling undone, into the phase's gradient
+    grad_features = np.empty(t.features.shape, t.features.dtype)
+    gc, groups = gen.gen_channels, gen.groups
+    if params:
+        features = t.features.astype(dtype, copy=False)
+        freq = gen.frequency.astype(dtype, copy=False)
+        dphase = np.empty((n, gc), np.result_type(g, state.g_cos, dproxy, features, state.k_cos))
+        # augmented mode's per-row frequency terms, summed as a whole below
+        freq_terms = np.empty_like(dphase) if gen.mode == "augmented" else None
+    for rows in _tiles(n):
+        br = b[rows]
+        dpc, dps = dproxy_cos[br], dproxy_sin[br]
+        pulled = dpc * state.k_cos[rows]
+        pulled += dps * state.k_sin[rows]
+        grad_features[rows] = pulled
+        if not params:
+            continue
+        dkc = g[rows] * state.g_cos[br]
+        dks = g[rows] * state.g_sin[br]
+        dkc += dpc * features[rows]
+        dks += dps * features[rows]
+        if groups > 1:
+            dkc = dkc.reshape(-1, groups, gc).sum(axis=1)
+            dks = dks.reshape(-1, groups, gc).sum(axis=1)
+        if gen.mode == "pure":
+            # the saved kernels are cos(phase) and sin(phase), group-tiled;
+            # rounding is sign-symmetric, so this has the bits of
+            # -k_sin * dkc + k_cos * dks
+            np.subtract(state.k_cos[rows, :gc] * dks, state.k_sin[rows, :gc] * dkc,
+                        out=dphase[rows])
+        else:
+            phase = state.phase[rows]
+            s_ = np.sin(freq * phase)
+            c_ = np.cos(freq * phase)
+            np.add(dkc * (1.0 - freq * s_), dks * (1.0 + freq * c_), out=dphase[rows])
+            np.add(dkc * (-phase * s_), dks * (phase * c_), out=freq_terms[rows])
     if not params:
         return grad_features, None, None
-
-    # the kernels' gradient: the pull's term, then the push's
-    features = t.features.astype(dtype, copy=False)
-    dk_cos = g * state.g_cos[b]
-    dk_sin = g * state.g_sin[b]
-    dk_cos += dproxy_cos[b] * features
-    dk_sin += dproxy_sin[b] * features
-
-    # undo group tiling
-    n = t.num_voxels
-    gc = gen.gen_channels
-    dkc, dks = dk_cos, dk_sin
-    if gen.groups > 1:
-        dkc = dk_cos.reshape(n, gen.groups, gc).sum(axis=1)
-        dks = dk_sin.reshape(n, gen.groups, gc).sum(axis=1)
-
-    phase = state.phase
-    if gen.mode == "pure":
-        # the saved kernels are cos(phase) and sin(phase), group-tiled
-        dphase = -state.k_sin[:, :gc] * dkc + state.k_cos[:, :gc] * dks
+    if freq_terms is None:
         grad_frequency = np.zeros(gc, dtype=np.float64)
     else:
-        freq = gen.frequency.astype(dtype, copy=False)
-        s_ = np.sin(freq * phase)
-        c_ = np.cos(freq * phase)
-        dphase = dkc * (1.0 - freq * s_) + dks * (1.0 + freq * c_)
-        grad_frequency = (
-            (dkc * (-phase * s_) + dks * (phase * c_)).sum(axis=0).astype(np.float64)
-        )
+        grad_frequency = freq_terms.sum(axis=0).astype(np.float64)
     grad_weight = (dphase.T @ state.anchored_xyz.astype(dtype)).astype(np.float64)
     return grad_features, grad_weight, grad_frequency
 

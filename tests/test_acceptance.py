@@ -162,7 +162,8 @@ class TestCostIndependence:
         saved_rows = {}
         for r, cfg in cfgs.items():
             _, state = link_forward(t, cfg, return_state=True)
-            saved_rows[r] = {state.k_cos.shape[0], state.k_sin.shape[0], state.phase.shape[0]}
+            saved_rows[r] = {state.k_cos.shape[0], state.k_sin.shape[0]}
+            assert state.phase is None   # the pure-mode backward reads no phase
             link_forward(t, cfg)  # warm
         # round-robin sampling spreads a burst of machine load over all ranges
         samples = {r: [] for r in ranges}

@@ -14,17 +14,37 @@ from link3d import (
 from oracles import regroup_voxels
 
 
+BATCH_0 = -(2 ** 63)   # batch 0's top field, -2^15, as a signed key
+
+
 class TestPackKey:
     def test_zero_coord(self):
-        assert pack_keys((0, 0, 0, 0)).tolist() == [0x0000_8000_8000_8000]
+        assert pack_keys((0, 0, 0, 0)).tolist() == [BATCH_0 + 0x8000_8000_8000]
 
     def test_domain_minimum(self):
-        assert pack_keys((0, -(2 ** 15), -(2 ** 15), -(2 ** 15))).tolist() == [0]
+        assert pack_keys((0, -(2 ** 15), -(2 ** 15), -(2 ** 15))).tolist() == [BATCH_0]
 
     def test_layout(self):
-        # batch(16) | x+2^15 | y+2^15 | z+2^15
+        # batch-2^15 | x+2^15 | y+2^15 | z+2^15
         keys = pack_keys([(1, 0, 0, 0), (0, 1, 2, 3)])
-        assert keys.tolist() == [(1 << 48) | 0x8000_8000_8000, 0x8001_8002_8003]
+        assert keys.tolist() == [BATCH_0 + (1 << 48) + 0x8000_8000_8000,
+                                 BATCH_0 + 0x8001_8002_8003]
+
+    def test_key_order_is_coordinate_order_for_every_batch(self, rng):
+        # batches from 2^15 up sort after batch 0, as their coordinates do
+        top, bottom = 2 ** 15 - 1, -(2 ** 15)
+        batches = np.array([0, 2 ** 15 - 1, 2 ** 15, 2 ** 16 - 1])
+        corners = np.array([(bottom, bottom, bottom), (0, -1, 1), (top, top, top)])
+        coords = np.concatenate([
+            np.concatenate([np.repeat(batches, 3)[:, None], np.tile(corners, (4, 1))], 1),
+            np.concatenate([rng.choice(batches, (200, 1)),
+                            rng.integers(bottom, top + 1, (200, 3))], 1),
+        ])
+        coords = np.unique(coords, axis=0)
+        coords = coords[rng.permutation(coords.shape[0])]
+        by_key = coords[np.argsort(pack_keys(coords))]
+        assert np.array_equal(by_key, coords[np.lexsort(coords.T[::-1])])
+        assert np.array_equal(core._unpack_keys(np.sort(pack_keys(coords))), by_key)
 
     def test_roundtrip(self, rng):
         # key order is lexicographic (batch, x, y, z) order

@@ -458,7 +458,7 @@ class TestGridPlan:
             ([(0, 0, 0, 0), (0, 3, 0, 0)], link.BlockGrid),
             ([(0, 0, 0, 0), (0, 4, 0, 0)], link.GatherSets),
             # 2^16 batches by 2^48 cells: 2^64 wraps to 0 in int64
-            ([(2 ** 15 - 1, top, top, top), (2 ** 15, bottom, bottom, bottom)], link.GatherSets),
+            ([(0, bottom, bottom, bottom), (2 ** 16 - 1, top, top, top)], link.GatherSets),
         ):
             part, proxies = pushed(SparseTensor(coords, np.ones((2, 1))), 1, rng)
             assert isinstance(link._gather(part, proxies, 2)[3], plan)
@@ -527,19 +527,145 @@ class TestPushSummationOrder:
     def test_empty_scene(self, rng):
         t = SparseTensor(np.zeros((0, 4), np.int64), np.zeros((0, 3)))
         part = partition_blocks(t, 3)
-        assert part.slot_rows == [] and part.slot_blocks == []
+        assert part.slot_rows == [] and part.pop_rank.shape == (0,)
         k = np.zeros((0, 3))
         proxies = push_proxies(part, t.features, k, k)
         assert proxies.shape == (0, 6)
 
-    def test_slots_hold_members_in_row_order(self, rng):
+    def test_slots_hold_members_in_rank_order(self, rng):
         t = permuted(make_scene(rng, 800, 14, 1, batches=2), rng)
         part = partition_blocks(t, 3)
+        pops = part.populations
+        assert len(set(pops.tolist())) > 3
+        # ranks: descending population, ties in ascending block id
+        by_rank = np.argsort(part.pop_rank)
+        assert sorted(part.pop_rank.tolist()) == list(range(part.num_blocks))
+        assert by_rank.tolist() == sorted(range(part.num_blocks), key=lambda b: (-pops[b], b))
         members = np.split(part.row_order, part.segment_starts[1:])
-        for j, (rows, blocks) in enumerate(zip(part.slot_rows, part.slot_blocks)):
-            expected = [b for b in range(part.num_blocks) if part.populations[b] > j]
-            assert blocks.tolist() == expected
-            assert rows.tolist() == [int(np.sort(members[b])[j]) for b in expected]
+        assert len(part.slot_rows) == pops.max()
+        for j, rows in enumerate(part.slot_rows):
+            holders = [b for b in by_rank if pops[b] > j]
+            assert rows.tolist() == [int(np.sort(members[b])[j]) for b in holders]
+        # every row is in exactly one slot
+        assert np.array_equal(np.sort(np.concatenate(part.slot_rows)), np.arange(t.num_voxels))
+
+
+def whole_kernels(gen, coords, dtype):
+    """Phase and group-tiled kernels by whole-array formulas."""
+    x = np.asarray(coords)
+    if gen.mode == "pure":
+        phase = x.astype(np.float64) @ gen.weight.T
+        if np.dtype(dtype) != np.float64:
+            phase = (phase - 2 * np.pi * np.rint(phase / (2 * np.pi))).astype(dtype)
+        k_cos, k_sin = np.cos(phase), np.sin(phase)
+    else:
+        phase = x.astype(dtype) @ gen.weight.astype(dtype).T
+        scaled = gen.frequency.astype(dtype) * phase
+        k_cos, k_sin = np.cos(scaled) + phase, np.sin(scaled) + phase
+    return phase, np.tile(k_cos, (1, gen.groups)), np.tile(k_sin, (1, gen.groups))
+
+
+def whole_pull(part, g_cos, g_sin, count, k_cos, k_sin, normalize):
+    b = part.voxel_block
+    out = g_cos[b] * k_cos + g_sin[b] * k_sin
+    if normalize:
+        out = out / count[b][:, None].astype(out.dtype)
+    return out
+
+
+def whole_backward(grad_out, t, cfg, state):
+    """``link_backward`` by whole-array formulas around the library's push
+    and adjoint box sum."""
+    gen, b = cfg.generator, state.partition.voxel_block
+    dtype = link._working_dtype(gen.mode, t.dtype)
+    g = grad_out
+    if state.normalize:
+        g = grad_out / state.count[b][:, None].astype(dtype)
+    dg = push_proxies(state.partition, g, state.k_cos, state.k_sin)
+    c = g.shape[1]
+    dproxy = link._box_sum(dg, state.gather_sets, adjoint=True)
+    dpc, dps = dproxy[:, :c], dproxy[:, c:]
+    grad_features = whole_pull(state.partition, dpc, dps, None, state.k_cos, state.k_sin,
+                               False).astype(t.dtype)
+    features = t.features.astype(dtype)
+    dkc = g * state.g_cos[b] + dpc[b] * features
+    dks = g * state.g_sin[b] + dps[b] * features
+    n, gc = t.num_voxels, gen.gen_channels
+    if gen.groups > 1:
+        dkc = dkc.reshape(n, gen.groups, gc).sum(axis=1)
+        dks = dks.reshape(n, gen.groups, gc).sum(axis=1)
+    if gen.mode == "pure":
+        dphase = -state.k_sin[:, :gc] * dkc + state.k_cos[:, :gc] * dks
+        grad_frequency = np.zeros(gc)
+    else:
+        phase, freq = state.phase, gen.frequency.astype(dtype)
+        s_, c_ = np.sin(freq * phase), np.cos(freq * phase)
+        dphase = dkc * (1.0 - freq * s_) + dks * (1.0 + freq * c_)
+        grad_frequency = (dkc * (-phase * s_) + dks * (phase * c_)).sum(axis=0).astype(np.float64)
+    grad_weight = (dphase.T @ state.anchored_xyz.astype(dtype)).astype(np.float64)
+    return grad_features, grad_weight, grad_frequency
+
+
+def exact_scene(rng, n, channels, dtype):
+    """``n`` distinct voxels of two batches, in a random row order."""
+    cells = rng.choice(2 * 24 ** 3, size=n, replace=False)
+    coords = np.stack([cells // 24 ** 3, *np.unravel_index(cells % 24 ** 3, (24,) * 3)], 1)
+    return SparseTensor(coords, rng.normal(size=(n, channels)).astype(dtype))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+TILE = link.TILE_ROWS
+
+
+class TestRowTiles:
+    """The per-voxel chains run one row tile at a time, with the bits of the
+    whole-array formulas at every tile boundary."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+    def test_tiles_cover_rows_without_a_lone_row(self, n):
+        tiles = link._tiles(n)
+        assert [i for sl in tiles for i in range(n)[sl]] == list(range(n))
+        assert all(2 <= sl.stop - sl.start <= TILE + 1 for sl in tiles) or n == 1
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 100, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+    @pytest.mark.parametrize("mode,dtype,groups", [
+        ("pure", np.float32, 1), ("pure", np.float64, 2),
+        ("augmented", np.float32, 4), ("augmented", np.float64, 1),
+    ])
+    def test_bits_match_whole_array(self, n, mode, dtype, groups):
+        rng = np.random.default_rng(n + 7 * groups)
+        t = exact_scene(rng, n, 8, dtype)
+        gen = make_generator(rng, 8, groups, mode, 3, 3)
+        if mode == "augmented":
+            gen.frequency = rng.uniform(0.5, 2.0, gen.gen_channels)
+        cfg = LinKConfig(3, 3, gen)
+        work = link._working_dtype(mode, dtype)
+        coords = anchored_xyz(t)
+
+        phase, k_cos, k_sin = link._kernel_parts(gen, coords, work)
+        ref_phase, ref_cos, ref_sin = whole_kernels(gen, coords, work)
+        assert same_bits(k_cos, ref_cos) and same_bits(k_sin, ref_sin)
+        assert phase is None if mode == "pure" else same_bits(phase, ref_phase)
+
+        part = partition_blocks(t, 3)
+        proxies = push_proxies(part, t.features.astype(work), k_cos, k_sin)
+        g_cos, g_sin, count, _ = link._gather(part, proxies, 3)
+        for normalize in (True, False):
+            assert same_bits(link.pull(part, g_cos, g_sin, count, k_cos, k_sin, normalize),
+                             whole_pull(part, g_cos, g_sin, count, k_cos, k_sin, normalize))
+        out, state = link_forward(t, cfg, return_state=True)
+        ref_out = whole_pull(part, g_cos, g_sin, count, k_cos, k_sin, True).astype(dtype)
+        assert same_bits(out.features, ref_out)
+
+        grad = rng.normal(size=t.features.shape).astype(dtype)
+        got = link_backward(grad, t, cfg, state)
+        for a, b in zip(got, whole_backward(grad, t, cfg, state)):
+            assert same_bits(a, b)
+        input_only = link_backward(grad, t, cfg, state, params=False)
+        assert same_bits(input_only[0], got[0]) and input_only[1:] == (None, None)
 
 
 class TestForwardOracleEquivalence:
@@ -702,8 +828,10 @@ class TestCounters:
         for r in (1, 5):
             cfg = LinKConfig(3, r, make_generator(rng, 4, 1, "pure", 3, r))
             _, state = link_forward(t, cfg, return_state=True)
-            for saved in (state.k_cos, state.k_sin, state.phase):
+            for saved in (state.k_cos, state.k_sin):
                 assert saved.shape[0] == t.num_voxels
+            # the pure-mode backward reads no phase, so none is saved
+            assert state.phase is None
 
     def test_gather_reads_bounded_by_r_cubed(self, rng, monkeypatch):
         t = make_scene(rng, 800, 20, 4)

@@ -16,7 +16,7 @@ from link3d import (
 )
 from link3d import net
 from link3d.core import coarsen
-from link3d.layers import LayerNormParams, layer_norm_backward, layer_norm_forward
+from link3d.layers import LN_EPS, LayerNormParams, layer_norm_backward, layer_norm_forward
 from link3d.net import EncoderConfig, LinKModule, ResidualBlock, SegModel, SparseConv
 from conftest import make_scene
 from oracles import compare_sampled, dense_conv_oracle, fd_grad, loop_majority
@@ -295,6 +295,31 @@ class TestInputOnlyBackward:
         got = layer_norm_backward(g, cache, params=False)
         assert got[1] is None and got[2] is None
         assert got[0].tobytes() == gx.tobytes()
+
+
+    @pytest.mark.parametrize("x_dtype,p_dtype,g_dtype", [
+        (np.float32, np.float32, np.float32), (np.float64, np.float64, np.float64),
+        (np.float32, np.float64, np.float32), (np.float64, np.float32, np.float32),
+        (np.float32, np.float32, np.float64),
+    ])
+    def test_layer_norm_bits_match_plain_formulas(self, rng, x_dtype, p_dtype, g_dtype):
+        x = (3 * rng.normal(size=(300, 7)) + 1).astype(x_dtype)
+        params = LayerNormParams(rng.uniform(0.5, 1.5, 7).astype(p_dtype),
+                                 rng.normal(size=7).astype(p_dtype))
+        grad_y = rng.normal(size=x.shape).astype(g_dtype)
+        # the formulas layer_norm_forward and layer_norm_backward work in place
+        centered = x - x.mean(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=1, keepdims=True) + LN_EPS)
+        x_hat = centered * inv_std
+        y = x_hat * params.scale + params.shift
+        g = grad_y * params.scale
+        grad_x = inv_std * (g - g.mean(axis=1, keepdims=True)
+                            - x_hat * (g * x_hat).mean(axis=1, keepdims=True))
+        got_y, cache = layer_norm_forward(x, params)
+        got = layer_norm_backward(grad_y, cache)
+        expected = [y, x_hat, inv_std, grad_x, (grad_y * x_hat).sum(axis=0), grad_y.sum(axis=0)]
+        for a, b in zip([got_y, cache[0], cache[1], *got], expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestErf:
