@@ -267,10 +267,10 @@ def _encoder_config(cfg: RunConfig, in_channels: int) -> EncoderConfig:
     )
 
 
-def _median_ms(fun, runs: int = BENCH_RUNS) -> float:
+def _median_ms(fun) -> float:
     fun()  # warm up
     samples = []
-    for _ in range(runs):
+    for _ in range(BENCH_RUNS):
         start = time.perf_counter()
         fun()
         samples.append((time.perf_counter() - start) * 1e3)

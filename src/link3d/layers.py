@@ -31,7 +31,7 @@ def _into(op, a, b, out: np.ndarray) -> np.ndarray:
     return op(a, b, out=out if np.result_type(a, b) == out.dtype else None)
 
 
-def layer_norm_forward(x: np.ndarray, params: LayerNormParams, eps: float = LN_EPS):
+def layer_norm_forward(x: np.ndarray, params: LayerNormParams):
     """Normalize each row over channels, then apply per-channel scale/shift.
 
     Returns (y, cache) where cache feeds :func:`layer_norm_backward`.  Works
@@ -45,7 +45,7 @@ def layer_norm_forward(x: np.ndarray, params: LayerNormParams, eps: float = LN_E
     x_hat = x - mean            # centered, normalized in place below
     sq = x_hat * x_hat
     var = sq.mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
     x_hat *= inv_std
     y = _into(np.multiply, x_hat, params.scale, sq)
     y = _into(np.add, y, params.shift, y)

@@ -11,7 +11,9 @@ sums.  The cos/sin product identity
 
 makes the pulled result equal a direct pairwise aggregation with an
 offset-dependent kernel, while the per-voxel work stays one push plus one
-pull no matter how large the (r * s)^3 receptive cube grows.
+pull no matter how large the (r * s)^3 receptive cube grows.  Each voxel's
+aggregate is divided by the number of voxels in its block window, which the
+gather sums as one more column, the block populations, beside the proxies.
 
 Per-voxel work runs in row tiles.  The kernel generation (the phase's matrix
 product, its float64 range reduction and cos/sin), the pull, and the
@@ -39,8 +41,8 @@ replays the plan transposed.  There are two plans, chosen by occupancy alone:
 * the block grid (:class:`BlockGrid`), when the occupied blocks fill at least
   half of their (batch, x, y, z) bounding box, the rule of
   ``core._accumulate``'s path 2.  The blocks are laid out in a zeroed dense
-  array of the box, each pass adds r shifted slices of the previous pass's
-  box, padded with zero cells along the pass's axis, and no key is probed;
+  array of the box, each pass adds into a zeroed box r shifted slices of the
+  previous pass's box, clipped where they leave it, and no key is probed;
 * the sorted-key plan (:class:`GatherSets`) otherwise: the occupied block
   keys dilated along z, and then y, are the targets of the x and y passes,
   and each pass probes its r offsets once and keeps the (dst, src) row pairs.
@@ -52,10 +54,10 @@ shifted neighbors in ascending offset; on the key plan each pass is a call
 of the library's one gather-accumulate primitive (``core._accumulate``).  The
 transposed pass adds them in descending offset, which is the ascending order
 of the reflected window.  Both plans add the same terms to every cell that
-feeds an output in that order.  Where the key plan has no term (no block, or
-a move out of the packable box), the grid adds an empty cell's +0.0, which
-leaves an accumulator that started at +0.0 unchanged.  So the two plans give
-the same bits.
+feeds an output in that order.  Where the key plan has no term, the grid
+adds an empty cell's +0.0 (no block) or nothing (a move out of the box).  An
+accumulator that starts at +0.0 never holds -0.0, so adding +0.0 leaves it
+unchanged, and the two plans give the same bits.
 
 ``link_oracle`` is the quadratic-cost pairwise form of the same operator and
 serves as the correctness reference for ``link_forward``.
@@ -78,7 +80,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import SparseTensor, _accumulate, _unpack_keys, coarsen, dilate_keys, probe_keys
+from .core import SparseTensor, _accumulate, coarsen, dilate_keys, probe_keys
 from .errors import ConfigError, DimensionError
 
 ORACLE_CHUNK_ELEMS = 1 << 22  # cap on pairwise work-array size per slice
@@ -380,21 +382,20 @@ def _key_plan(keys: np.ndarray, lo: int, hi: int) -> GatherSets:
     return GatherSets(along_zy, along_z, tuple(passes))
 
 
-def _grid_plan(keys: np.ndarray, lo: int, hi: int) -> Optional[BlockGrid]:
-    """The dense plan for the sorted block ``keys``, or None when they fill
-    less than half of their bounding box (the rule of ``_accumulate``'s
-    path 2).
+def _grid_plan(coords: np.ndarray, lo: int, hi: int) -> Optional[BlockGrid]:
+    """The dense plan for the (M, 4) block ``coords`` in key order, or None
+    when they fill less than half of their bounding box (the rule of
+    ``_accumulate``'s path 2).
 
     Key order is coordinate order, so the box's C order is key order and a
     block's cell rank is its row.
     """
-    if keys.shape[0] == 0:
+    if coords.shape[0] == 0:
         return None
-    coords = _unpack_keys(keys)
     first = coords.min(axis=0)
     box = tuple(int(n) + 1 for n in coords.max(axis=0) - first)
     # Python integers: two corner blocks span up to 2^64 cells
-    if 2 * keys.shape[0] < math.prod(box):
+    if 2 * coords.shape[0] < math.prod(box):
         return None
     occupied = np.zeros(math.prod(box), dtype=bool)
     occupied[np.ravel_multi_index((coords - first).T, box)] = True
@@ -402,48 +403,37 @@ def _grid_plan(keys: np.ndarray, lo: int, hi: int) -> Optional[BlockGrid]:
 
 
 def _grid_pass(grid: np.ndarray, axis: int, shifts, out: np.ndarray) -> None:
-    """One 1-D pass on (batch, x, y, z, W) grids: each cell of ``out``, which
-    has the box's shape, adds the cells of ``grid`` ``shifts`` away along
-    spatial ``axis``, in order.  ``grid`` is the box padded with zero cells
-    on both sides of ``axis``."""
+    """One 1-D pass on (batch, x, y, z, W) boxes of one shape: each cell of
+    ``out`` adds the cells of ``grid`` ``shifts`` away along spatial
+    ``axis``, in order.  A shift that leaves the box adds nothing."""
     n = out.shape[axis + 1]
-    pad = (grid.shape[axis + 1] - n) // 2
-    index = [slice(None)] * 4
+    src, dst = [slice(None)] * 4, [slice(None)] * 4
     for d in shifts:
-        index[axis + 1] = slice(pad + d, pad + d + n)
-        out += grid[tuple(index)]
+        # out[i] += grid[i + d] wherever i + d is in the box; clamping both
+        # bounds keeps a shift of n or more cells either way from making a
+        # negative stop, which would count from the end of the axis
+        lo, hi = (min(max(v, 0), n) for v in (d, n + d))
+        src[axis + 1], dst[axis + 1] = slice(lo, hi), slice(lo - d, hi - d)
+        out[tuple(dst)] += grid[tuple(src)]
 
 
 def _grid_sum(values: np.ndarray, grid: BlockGrid, adjoint: bool) -> np.ndarray:
     """``_box_sum`` on the dense plan: the blocks are laid out in their box,
-    and each pass adds r shifted slices of the previous pass's box, padded
-    with zeros along the pass's axis, into a zeroed box."""
+    and each pass adds r clipped, shifted slices of the previous pass's box
+    into a zeroed box."""
     lo, hi = grid.window
-    pad = max(-lo, hi)
     axes, shifts = (0, 1, 2), range(lo, hi + 1)
     if adjoint:
         # offset d's transpose reads -d, offsets in descending order
         axes, shifts = (2, 1, 0), range(-hi, -lo + 1)
-
-    def zeroed(axis):
-        """A zeroed box padded along spatial ``axis`` (none when None), and
-        its box-shaped view."""
-        shape = [*grid.box, values.shape[1]]
-        index = [slice(None)] * 4
-        if axis is not None:
-            shape[axis + 1] += 2 * pad
-            index[axis + 1] = slice(pad, pad + grid.box[axis + 1])
-        full = np.zeros(shape, values.dtype)
-        return full, full[tuple(index)]
-
     mask = grid.occupied.reshape(grid.box)
-    dense, box = zeroed(axes[0])
+    box = np.zeros((*grid.box, values.shape[1]), values.dtype)
     box[mask] = values
-    for axis, after in zip(axes, axes[1:] + (None,)):
-        out, box = zeroed(after)
-        _grid_pass(dense, axis, shifts, box)
-        dense = out
-    return dense[mask]
+    for axis in axes:
+        out = np.zeros_like(box)
+        _grid_pass(box, axis, shifts, out)
+        box = out
+    return box[mask]
 
 
 def _box_sum(values, sets, adjoint=False):
@@ -488,7 +478,7 @@ def _gather(
     """
     lo, hi = neighbor_window(neighbor_range)
     keys = part.block_keys
-    sets = _grid_plan(keys, lo, hi)
+    sets = _grid_plan(part.block_coords, lo, hi)
     if sets is None:
         sets = _key_plan(keys, lo, hi)
     c = proxies.shape[1] // 2
@@ -510,17 +500,17 @@ def pull(
     count: np.ndarray,
     k_cos: np.ndarray,
     k_sin: np.ndarray,
-    normalize: bool = True,
 ) -> np.ndarray:
-    """Per-voxel aggregates, (N, C), from the block sums ``_gather`` returns."""
+    """Per-voxel aggregates, (N, C), from the block sums ``_gather`` returns:
+    each voxel's kernel-weighted window sum divided by its window's voxel
+    ``count``."""
     b = part.voxel_block
     out = np.empty(k_cos.shape, np.result_type(g_cos, g_sin, k_cos, k_sin))
     for rows in _tiles(b.shape[0]):
         br = b[rows]
         tile = g_cos[br] * k_cos[rows]
         tile += g_sin[br] * k_sin[rows]
-        if normalize:
-            tile /= count[br][:, None].astype(out.dtype)
+        tile /= count[br][:, None].astype(out.dtype)
         out[rows] = tile
     return out
 
@@ -536,7 +526,6 @@ class LinKConfig:
     block_size: int
     neighbor_range: int
     generator: KernelGenerator
-    normalize: bool = True
 
     def __post_init__(self):
         if self.block_size < 1 or self.neighbor_range < 1:
@@ -561,7 +550,6 @@ class LinKState:
     g_sin: np.ndarray
     count: np.ndarray           # voxels per block neighborhood, (M,)
     gather_sets: Union[GatherSets, BlockGrid]
-    normalize: bool
 
 
 def anchored_xyz(t: SparseTensor) -> np.ndarray:
@@ -607,7 +595,7 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
     part = partition_blocks(t, cfg.block_size)
     proxies = push_proxies(part, t.features.astype(work, copy=False), k_cos, k_sin)
     g_cos, g_sin, count, sets = _gather(part, proxies, cfg.neighbor_range)
-    pulled = pull(part, g_cos, g_sin, count, k_cos, k_sin, cfg.normalize)
+    pulled = pull(part, g_cos, g_sin, count, k_cos, k_sin)
     out = t.with_features(pulled.astype(t.dtype, copy=False))
     if not return_state:
         return out
@@ -621,7 +609,6 @@ def link_forward(t: SparseTensor, cfg: LinKConfig, return_state: bool = False):
         g_sin=g_sin,
         count=count,
         gather_sets=sets,
-        normalize=cfg.normalize,
     )
     return out, state
 
@@ -649,14 +636,12 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
     dtype = _working_dtype(gen.mode, t.features.dtype)
     n, c = grad_out.shape
 
-    g = grad_out
-    if state.normalize:
-        g = np.empty((n, c), np.result_type(grad_out, dtype))
-        for rows in _tiles(n):
-            np.divide(grad_out[rows], state.count[b[rows]][:, None].astype(dtype), out=g[rows])
-
-    # pull: out = g_cos[b] * k_cos + g_sin[b] * k_sin; its adjoint in the
-    # gathered sums is push's per-block segment sum
+    # pull: out = (g_cos[b] * k_cos + g_sin[b] * k_sin) / count[b]; its
+    # adjoint divides grad_out by the count, and in the gathered sums is
+    # then push's per-block segment sum
+    g = np.empty((n, c), np.result_type(grad_out, dtype))
+    for rows in _tiles(n):
+        np.divide(grad_out[rows], state.count[b[rows]][:, None].astype(dtype), out=g[rows])
     dg = push_proxies(part, g, state.k_cos, state.k_sin)
 
     # gather: the forward's box-sum plan, replayed transposed
@@ -716,19 +701,18 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
 # brute-force pairwise reference
 # ---------------------------------------------------------------------------
 
-def _oracle_block(out, rows, nb_rows, features, k_cos, k_sin, normalize):
+def _oracle_block(out, rows, nb_rows, features, k_cos, k_sin):
     p0 = rows.shape[0]
     p1 = nb_rows.shape[0]
     c = features.shape[1]
     fc = k_cos[nb_rows]
     fs = k_sin[nb_rows]
     fv = features[nb_rows]
-    denom = p1 if normalize else 1
     step = max(1, ORACLE_CHUNK_ELEMS // max(p1 * c, 1))
     for lo in range(0, p0, step):
         sub = rows[lo : lo + step]
         kappa = k_cos[sub][:, None, :] * fc[None, :, :] + k_sin[sub][:, None, :] * fs[None, :, :]
-        out[sub] = (kappa * fv[None, :, :]).sum(axis=1) / denom
+        out[sub] = (kappa * fv[None, :, :]).sum(axis=1) / p1
 
 
 def link_oracle(t: SparseTensor, cfg: LinKConfig):
@@ -766,5 +750,5 @@ def link_oracle(t: SparseTensor, cfg: LinKConfig):
             if j is not None:
                 nb_rows.append(members[j])
         nb = np.concatenate(nb_rows)
-        _oracle_block(out, members[i], nb, features, k_cos, k_sin, cfg.normalize)
+        _oracle_block(out, members[i], nb, features, k_cos, k_sin)
     return t.with_features(out.astype(t.dtype, copy=False))

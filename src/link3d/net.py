@@ -39,6 +39,8 @@ from .layers import (
 )
 from .link import KernelGenerator, LinKConfig, link_backward, link_forward
 
+ERF_MASS = 0.9  # share of the ERF map's total magnitude its radius holds
+
 
 class Module:
     """Minimal parameter tree: named parameter and gradient walks."""
@@ -467,8 +469,9 @@ def erf_map(t: SparseTensor, encoder: Encoder, target_stage: int):
 
 
 def erf_mass_radius(coords: np.ndarray, magnitudes: np.ndarray, seed_coord,
-                    stage: int, mass: float = 0.9) -> int:
-    """Smallest Chebyshev radius (input voxel units) holding ``mass`` of the map.
+                    stage: int) -> int:
+    """Smallest Chebyshev radius (input voxel units) holding ``ERF_MASS`` of
+    the map.
 
     The seed voxel at stage k sits at input position seed_xyz * 2^k.
     """
@@ -479,7 +482,7 @@ def erf_mass_radius(coords: np.ndarray, magnitudes: np.ndarray, seed_coord,
     cheb = np.abs(coords[:, 1:] - seed_input).max(axis=1)
     order = np.argsort(cheb, kind="stable")
     cum = np.cumsum(magnitudes[order])
-    idx = int(np.searchsorted(cum, mass * total))
+    idx = int(np.searchsorted(cum, ERF_MASS * total))
     idx = min(idx, cheb.shape[0] - 1)
     return int(cheb[order][idx])
 

@@ -106,7 +106,7 @@ def suite_oracle_equivalence(seed, mode, groups, precision,
             proxies = push_proxies(part, t.features, k_cos, k_sin)
             with np.errstate(divide="ignore", invalid="ignore"):
                 g_cos, g_sin, count, _ = _gather(part, proxies, r, drop_offset=(0, 0, 0))
-                out = pull(part, g_cos, g_sin, count, k_cos, k_sin, cfg.normalize)
+                out = pull(part, g_cos, g_sin, count, k_cos, k_sin)
             diff = np.abs(out - reference.features)
             worst = max(worst, float(np.nan_to_num(diff, nan=np.inf).max()))
         else:

@@ -360,7 +360,7 @@ class TestSeparableGather:
         part, _ = pushed(t, s, rng)
         keys = part.block_keys
         lo, hi = link.neighbor_window(r)
-        plans = [link._key_plan(keys, lo, hi), link._grid_plan(keys, lo, hi)]
+        plans = [link._key_plan(keys, lo, hi), link._grid_plan(part.block_coords, lo, hi)]
         plans = [p for p in plans if p is not None]
         for dtype in (np.float32, np.float64):
             v = rng.normal(size=(part.num_blocks, 5)).astype(dtype)
@@ -393,11 +393,12 @@ def reference_box_sum(values, keys, lo, hi, adjoint=False):
 
 
 def dense_scene(rng, edge, batches, corner=None):
-    """Row-permuted cubes of ``edge`` voxels per side, one per batch, each
-    with 30% of its voxels dropped; ``corner`` "top" or "bottom" puts them at
-    that corner of the packable box."""
-    axis = np.arange(edge)
-    cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    """Row-permuted boxes of ``edge`` voxels per side (one edge, or one per
+    axis), one per batch, each with 30% of its voxels dropped; ``corner``
+    "top" or "bottom" puts them at that corner of the packable box."""
+    edge = np.broadcast_to(edge, 3)
+    axes = np.meshgrid(*(np.arange(e) for e in edge), indexing="ij")
+    cube = np.stack(axes, -1).reshape(-1, 3)
     start = {None: rng.integers(-20, 20, size=3), "top": 2 ** 15 - edge,
              "bottom": -(2 ** 15)}[corner]
     parts = []
@@ -422,7 +423,7 @@ class TestGridPlan:
         lo, hi = link.neighbor_window(r)
         for t in scenes:
             part = partition_blocks(t, s)
-            grid = link._grid_plan(part.block_keys, lo, hi)
+            grid = link._grid_plan(part.block_coords, lo, hi)
             assert isinstance(grid, link.BlockGrid)
             keys = link._key_plan(part.block_keys, lo, hi)
             for dtype in (np.float32, np.float64):
@@ -469,6 +470,33 @@ class TestGridPlan:
         grid = link._gather(part, proxies, 5)[3]
         assert grid[0].shape[0] == int(np.prod(grid.box))
         assert int(grid.occupied.sum()) == part.num_blocks
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("r", [7, 9, 12])
+    def test_window_wider_than_box(self, width, s, r):
+        # a slab ``width`` blocks of voxels thick along one axis and 5 along
+        # the others: the window's shifts reach past the box along the slab's
+        # axis, and at r = 12 along every axis
+        rng = np.random.default_rng(100 * s + 10 * r + width)
+        edge = [5 * s] * 3
+        edge[width - 1] = width * s
+        t = dense_scene(rng, edge, 2)
+        part, proxies = pushed(t, s, rng)
+        grid = link._gather(part, proxies, r)[3]
+        assert isinstance(grid, link.BlockGrid)
+        # an unaligned start spreads the slab over one more block
+        assert grid.box[width] <= width + 1
+        keys = link._key_plan(part.block_keys, *link.neighbor_window(r))
+        for dtype in (np.float32, np.float64):
+            v = rng.normal(size=(part.num_blocks, 5)).astype(dtype)
+            for adjoint in (False, True):
+                assert (link._box_sum(v, grid, adjoint).tobytes()
+                        == link._box_sum(v, keys, adjoint).tobytes())
+        if r == 7:
+            cfg = LinKConfig(s, r, make_generator(rng, 2, 1, "pure", s, r))
+            diff = link_forward(t, cfg).features - link_oracle(t, cfg).features
+            assert np.abs(diff).max() <= 1e-12
 
 
 def push_loop(part, features, k_cos, k_sin):
@@ -565,12 +593,10 @@ def whole_kernels(gen, coords, dtype):
     return phase, np.tile(k_cos, (1, gen.groups)), np.tile(k_sin, (1, gen.groups))
 
 
-def whole_pull(part, g_cos, g_sin, count, k_cos, k_sin, normalize):
+def whole_pull(part, g_cos, g_sin, count, k_cos, k_sin):
     b = part.voxel_block
     out = g_cos[b] * k_cos + g_sin[b] * k_sin
-    if normalize:
-        out = out / count[b][:, None].astype(out.dtype)
-    return out
+    return out / count[b][:, None].astype(out.dtype)
 
 
 def whole_backward(grad_out, t, cfg, state):
@@ -578,15 +604,12 @@ def whole_backward(grad_out, t, cfg, state):
     and adjoint box sum."""
     gen, b = cfg.generator, state.partition.voxel_block
     dtype = link._working_dtype(gen.mode, t.dtype)
-    g = grad_out
-    if state.normalize:
-        g = grad_out / state.count[b][:, None].astype(dtype)
+    g = grad_out / state.count[b][:, None].astype(dtype)
     dg = push_proxies(state.partition, g, state.k_cos, state.k_sin)
     c = g.shape[1]
     dproxy = link._box_sum(dg, state.gather_sets, adjoint=True)
     dpc, dps = dproxy[:, :c], dproxy[:, c:]
-    grad_features = whole_pull(state.partition, dpc, dps, None, state.k_cos, state.k_sin,
-                               False).astype(t.dtype)
+    grad_features = (dpc[b] * state.k_cos + dps[b] * state.k_sin).astype(t.dtype)
     features = t.features.astype(dtype)
     dkc = g * state.g_cos[b] + dpc[b] * features
     dks = g * state.g_sin[b] + dps[b] * features
@@ -653,11 +676,10 @@ class TestRowTiles:
         part = partition_blocks(t, 3)
         proxies = push_proxies(part, t.features.astype(work), k_cos, k_sin)
         g_cos, g_sin, count, _ = link._gather(part, proxies, 3)
-        for normalize in (True, False):
-            assert same_bits(link.pull(part, g_cos, g_sin, count, k_cos, k_sin, normalize),
-                             whole_pull(part, g_cos, g_sin, count, k_cos, k_sin, normalize))
+        ref_pull = whole_pull(part, g_cos, g_sin, count, k_cos, k_sin)
+        assert same_bits(link.pull(part, g_cos, g_sin, count, k_cos, k_sin), ref_pull)
         out, state = link_forward(t, cfg, return_state=True)
-        ref_out = whole_pull(part, g_cos, g_sin, count, k_cos, k_sin, True).astype(dtype)
+        ref_out = ref_pull.astype(dtype)
         assert same_bits(out.features, ref_out)
 
         grad = rng.normal(size=t.features.shape).astype(dtype)
@@ -807,10 +829,10 @@ def x_pass_reads(monkeypatch, t, cfg):
 
     def counting_pass(grid, axis, shifts, out):
         if not read:
-            n = out.shape[1]
-            pad = (grid.shape[1] - n) // 2
+            # shift d reads x cells [d, n + d) clipped to the box [0, n)
+            n = grid.shape[1]
             held = grid[..., -1] != 0
-            read.append(sum(int(held[:, pad + d : pad + d + n].sum()) for d in shifts))
+            read.append(sum(int(held[:, max(d, 0) : max(n + d, 0)].sum()) for d in shifts))
         grid_pass(grid, axis, shifts, out)
 
     with monkeypatch.context() as m:
@@ -965,17 +987,3 @@ class TestBackward:
         assert rel_err(fd_grad(loss, gen.weight), gw) <= 1e-4
         if mode == "augmented":
             assert rel_err(fd_grad(loss, gen.frequency), gfr) <= 1e-4
-
-    def test_normalization_off_fd(self, rng):
-        t = make_scene(rng, 30, 8, 2)
-        gen = make_generator(rng, 2)
-        cfg = LinKConfig(3, 2, gen, normalize=False)
-        probe = rng.normal(size=t.features.shape)
-
-        def loss():
-            return float((link_forward(t, cfg).features * probe).sum())
-
-        _, state = link_forward(t, cfg, return_state=True)
-        gf, gw, _ = link_backward(probe, t, cfg, state)
-        assert rel_err(fd_grad(loss, t.features), gf) <= 1e-4
-        assert rel_err(fd_grad(loss, gen.weight), gw) <= 1e-4

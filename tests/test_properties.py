@@ -47,7 +47,6 @@ def link_cases(draw):
     r = draw(st.integers(1, 5))
     groups = draw(st.sampled_from([1, 2]))
     mode = draw(st.sampled_from(["pure", "augmented"]))
-    normalize = draw(st.booleans())
     kinds = [draw(st.sampled_from(["cluster", "single", "empty"]))
              for _ in range(draw(st.integers(1, 3)))]
     wrap = draw(st.booleans())
@@ -75,7 +74,7 @@ def link_cases(draw):
                                  kernel_extent=s * r, rng=rng)
     if mode == "augmented":
         gen.frequency[:] = rng.uniform(0.5, 2.0, size=gen.frequency.shape)
-    return t, LinKConfig(s, r, gen, normalize=normalize)
+    return t, LinKConfig(s, r, gen)
 
 
 @SETTINGS
