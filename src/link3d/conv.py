@@ -9,25 +9,49 @@ Pair lists in the kernel map are sorted by (out_row, in_row) and offsets are
 iterated in a fixed lexicographic order, which pins the floating-point
 summation order and makes results bit-reproducible.
 
-Forward and the features' gradient each make one call of the library's
-gather-accumulate primitive, :func:`core._accumulate`, with the kernel
-weights: for each offset in turn, ``out[dst] += x[src] @ W[o]``.  The GEMM
-runs over exactly the offset's gathered pairs, and the core module docstring
-lists the three exact ways the product is added.
+Forward and the features' gradient run on one of two plans, chosen from the
+coordinate set and the weight shapes alone, with the same bits:
 
-The weights' gradient reuses the ``grad_out`` rows the features' gradient
+* the pair plan: one call of the library's gather-accumulate primitive,
+  :func:`core._accumulate`, with the kernel weights: for each offset in turn,
+  ``out[dst] += x[src] @ W[o]``.  The GEMM runs over exactly the offset's
+  gathered pairs, and the core module docstring lists the three exact ways
+  the product is added;
+* the dense plan, for a stride-1 set that fills at least half of its
+  (batch, x, y, z) bounding box (:func:`core.dense_box`, the rule LinK's block
+  grid also follows).  The rows are scattered once into a zeroed flat box,
+  padded by ``K // 2`` planes after x, y and z, so that every offset is one
+  flat shift and a shift past an edge lands on a padding cell.  Each offset
+  is then one GEMM over a contiguous slice of the box, added into a zeroed
+  output box in offset order, and one gather reads the rows back out.  The
+  features' gradient is the same plan with the shift negated and ``W[o].T``.
+
+The dense plan adds the pair plan's products to every row in the same
+order, plus an empty cell's zero product where the pair plan has no term;
+an accumulator that starts at +0.0 never holds -0.0, so that leaves it
+unchanged.  Its GEMMs run over other row counts than the pair lists, so it
+runs only where a row's product bits do not depend on the row count: no
+offset has exactly one pair, both widths are at least 2 and at most 64
+bytes, and the weights are finite (:func:`_dense`).
+
+The weights' gradient uses each offset's gathered pair rows on either plan.
+On the pair plan it reuses the ``grad_out`` rows the features' gradient
 gathers for each offset, so the backward gathers them once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .core import SparseTensor, _accumulate, coarsen, probe_keys
+from .core import DenseBox, SparseTensor, _accumulate, _tiles, coarsen, dense_box, probe_keys
 from .errors import ConfigError, DimensionError
+
+DENSE_TILE_ROWS = 2048   # box rows per tile of the dense plan's products and adds
+DENSE_ROW_BYTES = 64     # widest weight row, in bytes, the dense plan multiplies
 
 
 def kernel_offsets(kernel_size: int, stride: int = 1) -> np.ndarray:
@@ -64,6 +88,8 @@ class KernelMap:
     num_in: int
     # stride 2: the output coordinate set, whose tensors share one map cache
     _out: Optional[SparseTensor] = field(default=None, repr=False)
+    # stride 1: the set's box, padded by K // 2, when the dense plan may run
+    box: Optional[DenseBox] = field(default=None, repr=False)
 
     @property
     def num_out(self) -> int:
@@ -106,8 +132,13 @@ def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> Kern
     offsets = kernel_offsets(kernel_size, stride)
     if stride == 1:
         in_rows, out_rows = _submanifold_pairs(t, offsets)
+        # a one-pair list is a one-row product, which numpy runs on its
+        # vector path with other bits than a row of a matrix product
+        box = None
+        if all(rows.shape[0] != 1 for rows in in_rows):
+            box = dense_box(t.coords, kernel_size // 2)
         return KernelMap(kernel_size, stride, offsets, in_rows, out_rows,
-                         t.coords, t.num_voxels)
+                         t.coords, t.num_voxels, box=box)
     # coarsen's sorted keys fix the output row order
     coarse, keys = coarsen(t.coords, 2)[:2]
     out = SparseTensor._from_sorted(coarse, keys, np.zeros((coarse.shape[0], 0), t.dtype))
@@ -160,8 +191,55 @@ class ConvWeights:
         return cls(w, np.zeros(c_out, dtype=dtype))
 
 
+def _dense(km: KernelMap, weights: np.ndarray) -> bool:
+    """Whether the dense plan runs.  It gives the pair plan's bits where each
+    product row has the bits of the same row in a product of any other
+    number of rows, and an empty cell's zero row adds nothing:
+
+    * the map has a box (it has no one-pair list);
+    * both widths are at least 2: numpy runs a width of 1 on its vector path;
+    * both are at most ``DENSE_ROW_BYTES``.  Wider rows, measured on
+      OpenBLAS 0.3.31, take kernels whose row bits move with the row count
+      (from 32 float32 or 16 float64 columns);
+    * the weights are finite, so a zero row's product is zero.
+    """
+    widths = weights.shape[1:]
+    return (km.box is not None and min(widths) > 1
+            and max(widths) * weights.itemsize <= DENSE_ROW_BYTES
+            and bool(np.isfinite(weights).all()))
+
+
+def _dense_sum(values: np.ndarray, km: KernelMap, weights: np.ndarray, sign: int) -> np.ndarray:
+    """``out[p] = sum_o values[p + sign * offsets[o]] @ weights[o]`` over the
+    map's box, offsets in order.
+
+    The rows are scattered once into a zeroed flat box with a margin of the
+    largest shift at both ends.  Each offset is one matrix product over the
+    contiguous slice its flat shift away, added into a zeroed output box; the
+    box runs in row tiles, all offsets per tile, so the products and sums stay
+    in cache.  One gather reads the rows back out.
+    """
+    box = km.box
+    _, _, ny, nz = box.shape
+    shifts = sign * (km.offsets @ np.array([ny * nz, nz, 1]))
+    margin = int(np.abs(shifts).max())
+    size = math.prod(box.shape)
+    src = np.zeros((size + 2 * margin, values.shape[1]), values.dtype)
+    src[margin + box.cells] = values
+    acc = np.zeros((size, weights.shape[2]), values.dtype)
+    # a tile takes a one-row tail, so it holds up to DENSE_TILE_ROWS + 1 rows
+    prod = np.empty((min(size, DENSE_TILE_ROWS + 1), weights.shape[2]), values.dtype)
+    starts = (margin + shifts).tolist()
+    for rows in _tiles(size, DENSE_TILE_ROWS):
+        out, buf = acc[rows], prod[: rows.stop - rows.start]
+        for o, start in enumerate(starts):
+            lo = rows.start + start
+            out += np.matmul(src[lo : lo + buf.shape[0]], weights[o], out=buf)
+    return np.take(acc, box.cells, axis=0)
+
+
 def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> SparseTensor:
-    """Apply the kernel over the precomputed pair lists."""
+    """Apply the kernel over the map's dense box or its pair lists."""
     if km.offsets.shape[0] != w.weights.shape[0]:
         raise DimensionError("kernel map and weights disagree on kernel volume")
     if t.num_channels != w.c_in:
@@ -169,8 +247,12 @@ def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> Spars
     if km.num_in != t.num_voxels:
         raise DimensionError("kernel map was built for a different tensor")
     dtype = t.dtype
-    out = np.zeros((km.num_out, w.c_out), dtype=dtype)
-    _accumulate(out, t.features, km.in_rows, km.out_rows, w.weights.astype(dtype, copy=False))
+    weights = w.weights.astype(dtype, copy=False)
+    if _dense(km, weights):
+        out = _dense_sum(t.features, km, weights, 1)
+    else:
+        out = np.zeros((km.num_out, w.c_out), dtype=dtype)
+        _accumulate(out, t.features, km.in_rows, km.out_rows, weights)
     if w.bias is not None:
         out += w.bias.astype(dtype, copy=False)
     return (km._out if km.stride == 2 else t).with_features(out)
@@ -192,14 +274,24 @@ def sparse_conv_backward(grad_out: np.ndarray, t: SparseTensor, w: ConvWeights, 
     # one rounding on entry: every product below is in the tensor's dtype
     grad_out = grad_out.astype(dtype, copy=False)
     weights = w.weights.astype(dtype, copy=False)
-    grad_features = np.zeros(t.features.shape, dtype)
     grad_weights = np.zeros_like(weights) if params else None
 
     def weight_grad(o, grad_rows):
         # grad_rows is grad_out[out_rows[o]], gathered for the features' gradient
         grad_weights[o] = np.take(t.features, km.in_rows[o], axis=0).T @ grad_rows
 
-    _accumulate(grad_features, grad_out, km.out_rows, km.in_rows, weights.transpose(0, 2, 1),
-                weight_grad if params else None)
+    if _dense(km, weights):
+        # offset o's transpose reads the cell -o away, offsets in the same order
+        grad_features = _dense_sum(grad_out, km, weights.transpose(0, 2, 1), -1)
+        # the weights' gradient keeps its pair rows: a product over the box
+        # would sum over other rows, in other blocks, with other bits
+        if params:
+            for o, rows in enumerate(km.out_rows):
+                if rows.shape[0]:
+                    weight_grad(o, np.take(grad_out, rows, axis=0))
+    else:
+        grad_features = np.zeros(t.features.shape, dtype)
+        _accumulate(grad_features, grad_out, km.out_rows, km.in_rows,
+                    weights.transpose(0, 2, 1), weight_grad if params else None)
     grad_bias = grad_out.sum(axis=0) if params and w.bias is not None else None
     return grad_features, grad_weights, grad_bias

@@ -18,9 +18,12 @@ keys (:func:`_unpack_keys`).
 One gather-accumulate primitive, :func:`_accumulate`, adds gathered rows into
 indexed output rows: for each index list o in turn,
 ``out[dst[o]] += x[src[o]] @ W[o]``.  Its callers are the sparse convolution
-(forward and the features' gradient, one list per kernel offset) and each
-pass of LinK's separable box sum on its sorted-key plan (one list per block
-offset, with ``weights=None``: the gathered rows are added as they are).  How a list's rows are added depends on how many out rows it
+on its pair plan (forward and the features' gradient, one list per kernel
+offset) and each pass of LinK's separable box sum on its sorted-key plan (one
+list per block offset, with ``weights=None``: the gathered rows are added as
+they are).  Both callers have a dense plan too, for a set that fills at least
+half of its bounding box: :func:`dense_box` holds that one occupancy rule and
+the box layout.  How a list's rows are added depends on how many out rows it
 covers:
 
 1. all of them, in row order: ``out += prod``;
@@ -39,7 +42,9 @@ whatever the BLAS does with matrix shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,6 +55,7 @@ COORD_BOUND = 1 << COORD_BITS       # spatial components in [-32768, 32768)
 BATCH_BOUND = 1 << 16               # batch index in [0, 65536)
 KEY_FIELD = 1 << 16                 # values one x, y or z field of a key holds
 KEY_XYZ_SHIFTS = (32, 16, 0)        # bit offsets of the x, y, z fields
+TILE_ROWS = 1024                    # rows per tile of a row-tiled per-voxel chain
 
 
 def _as_coord_array(coords) -> np.ndarray:
@@ -136,7 +142,54 @@ def dilate_keys(keys: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
         keys[(field_val >= -d) & (field_val < KEY_FIELD - d)] + (d << shift)
         for d in range(lo, hi + 1)
     ]
-    return np.unique(np.concatenate(moved))
+    # sorted keys move into sorted runs, which a merge sort takes as runs;
+    # np.unique would hash instead, several times slower on numpy >= 2.3
+    merged = np.sort(np.concatenate(moved), kind="stable")
+    distinct = np.ones(merged.shape, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
+    return merged[distinct]
+
+
+class DenseBox(NamedTuple):
+    """A coordinate set laid out in a dense C-order array of its bounding box."""
+
+    shape: tuple         # (batch, x, y, z) cells, spatial extents padded
+    cells: np.ndarray    # the flat cell of each row
+
+
+def dense_box(coords: np.ndarray, pad: int = 0) -> Optional[DenseBox]:
+    """The cells of the (N, 4) ``coords`` in their (batch, x, y, z) bounding
+    box, with ``pad`` empty planes after its x, y and z extents; or None when
+    the rows fill less than half of the unpadded box (the rule of
+    :func:`_accumulate`'s path 2).
+
+    A set that is too sparse costs one min and one max over ``coords`` and
+    allocates nothing of its size.  Key order is coordinate order, so the
+    rows of a key-ordered set have ascending cells.
+    """
+    n = coords.shape[0]
+    if n == 0:
+        return None
+    first = coords.min(axis=0)
+    extent = [int(e) + 1 for e in coords.max(axis=0) - first]
+    # Python integers: two corner voxels span up to 2^64 cells
+    if 2 * n < math.prod(extent):
+        return None
+    shape = (extent[0], *(e + pad for e in extent[1:]))
+    return DenseBox(shape, np.ravel_multi_index((coords - first).T, shape))
+
+
+def _tiles(n: int, rows: int = TILE_ROWS):
+    """Row slices of ``rows`` rows covering ``range(n)``.
+
+    A one-row tail joins the tile before it: numpy multiplies a one-row matrix
+    on its vector path, whose bits differ from the matrix path's, so only a
+    one-row input makes a one-row tile.
+    """
+    bounds = list(range(0, n, rows))
+    if n > 1 and n % rows == 1:
+        bounds.pop()
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [n])]
 
 
 def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None,

@@ -78,7 +78,14 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(grad_y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, grad_y, 0)
+    """The bits of ``np.where(x > 0, grad_y, 0)``: ``grad_y``'s bits ANDed
+    with all ones where ``x > 0`` and with zero (+0.0) elsewhere, without
+    branching on the mask."""
+    ints = np.dtype(f"i{grad_y.dtype.itemsize}")
+    mask = (x > 0).astype(ints)
+    np.negative(mask, out=mask)
+    mask &= grad_y.view(ints)
+    return mask.view(grad_y.dtype)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):

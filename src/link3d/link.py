@@ -80,11 +80,19 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import SparseTensor, _accumulate, coarsen, dilate_keys, probe_keys
+from .core import (
+    TILE_ROWS,
+    SparseTensor,
+    _accumulate,
+    _tiles,
+    coarsen,
+    dense_box,
+    dilate_keys,
+    probe_keys,
+)
 from .errors import ConfigError, DimensionError
 
 ORACLE_CHUNK_ELEMS = 1 << 22  # cap on pairwise work-array size per slice
-TILE_ROWS = 1024                # rows per tile of the per-voxel chains
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +168,6 @@ def _working_dtype(mode: str, dtype) -> np.dtype:
     if mode == "augmented":
         return np.promote_types(dtype, np.float64)
     return np.dtype(dtype)
-
-
-def _tiles(n: int):
-    """Row slices of ``TILE_ROWS`` rows covering ``range(n)``.
-
-    A one-row tail joins the tile before it: numpy multiplies a one-row matrix
-    on its vector path, whose bits differ from the matrix path's, so only a
-    one-row input makes a one-row tile.
-    """
-    bounds = list(range(0, n, TILE_ROWS))
-    if n > 1 and n % TILE_ROWS == 1:
-        bounds.pop()
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [n])]
 
 
 def _kernel_tile(gen: KernelGenerator, x: np.ndarray, dtype):
@@ -384,22 +379,17 @@ def _key_plan(keys: np.ndarray, lo: int, hi: int) -> GatherSets:
 
 def _grid_plan(coords: np.ndarray, lo: int, hi: int) -> Optional[BlockGrid]:
     """The dense plan for the (M, 4) block ``coords`` in key order, or None
-    when they fill less than half of their bounding box (the rule of
-    ``_accumulate``'s path 2).
+    when :func:`core.dense_box` finds them too sparse for it.
 
     Key order is coordinate order, so the box's C order is key order and a
     block's cell rank is its row.
     """
-    if coords.shape[0] == 0:
+    box = dense_box(coords)
+    if box is None:
         return None
-    first = coords.min(axis=0)
-    box = tuple(int(n) + 1 for n in coords.max(axis=0) - first)
-    # Python integers: two corner blocks span up to 2^64 cells
-    if 2 * coords.shape[0] < math.prod(box):
-        return None
-    occupied = np.zeros(math.prod(box), dtype=bool)
-    occupied[np.ravel_multi_index((coords - first).T, box)] = True
-    return BlockGrid(occupied, box, (lo, hi))
+    occupied = np.zeros(math.prod(box.shape), dtype=bool)
+    occupied[box.cells] = True
+    return BlockGrid(occupied, box.shape, (lo, hi))
 
 
 def _grid_pass(grid: np.ndarray, axis: int, shifts, out: np.ndarray) -> None:

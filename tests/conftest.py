@@ -24,6 +24,13 @@ def make_scene(rng, n_voxels, extent, channels, dtype=np.float64, batches=1):
     return SparseTensor(coords, feats)
 
 
+def box_coords(shape, batches=1, corner=(0, 0, 0)):
+    """Every coordinate of a (batches, *shape) box whose first voxel is at
+    ``corner``, in key order."""
+    axes = [np.arange(batches), *(np.arange(n) + c for n, c in zip(shape, corner))]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from link3d import conv
 from link3d import (
     ConfigError,
     ConvWeights,
@@ -12,7 +15,7 @@ from link3d import (
 )
 from link3d.layers import LayerNormParams, layer_norm_forward
 from link3d.net import ResidualBlock
-from conftest import make_scene
+from conftest import box_coords, make_scene
 from oracles import dense_conv_oracle, fd_grad, rel_err
 
 
@@ -280,7 +283,8 @@ def permuted(t, rng):
 
 
 # Scenes chosen so that every accumulation path runs: a filled 6^3 block
-# covers at least half of the rows at every stride-1 offset; a sparse
+# covers at least half of the rows at every stride-1 offset (at widths above
+# 1 it runs on the dense plan, which TestDensePlan compares); a sparse
 # two-batch scene covers fewer than half at every offset but the centre; an
 # even-coordinate block at stride 2 covers every fine row from one offset,
 # in a row order the permutation scrambles.
@@ -351,6 +355,75 @@ class TestSharedPrimitive:
         for a, b in zip(got, want):
             assert a.dtype == np.float32
             assert a.tobytes() == b.tobytes()
+
+
+def box_scene(shape, batches, channels, dtype, rng, corner=(0, 0, 0)):
+    """Every voxel of a (batches, *shape) box whose first voxel is at ``corner``."""
+    coords = box_coords(shape, batches, corner)
+    return SparseTensor(coords, rng.normal(size=(coords.shape[0], channels)).astype(dtype))
+
+
+def half_scene(channels, dtype, rng):
+    """The even-parity half of a 4^3 box: exactly half full, corners kept."""
+    t = box_scene((4, 4, 4), 1, channels, dtype, rng)
+    even = t.coords[:, 1:].sum(axis=1) % 2 == 0
+    return SparseTensor(t.coords[even], t.features[even])
+
+
+# (scene, whether it fills half of its box); the 2^3 cube fills it, but its
+# one-pair lists keep it on the pair plan above K=1
+DENSE_SCENES = {
+    "cube": (lambda c, dt, rng: box_scene((6, 6, 6), 1, c, dt, rng, (-3, 2, 5)), True),
+    "permuted-cube": (lambda c, dt, rng: permuted(box_scene((6, 5, 7), 1, c, dt, rng), rng), True),
+    "slab": (lambda c, dt, rng: box_scene((7, 6, 1), 1, c, dt, rng, (3, -2, 4)), True),
+    "two-batches": (lambda c, dt, rng: permuted(box_scene((5, 5, 5), 2, c, dt, rng), rng), True),
+    "cube-2": (lambda c, dt, rng: box_scene((2, 2, 2), 1, c, dt, rng), True),
+    "half": (half_scene, True),
+    "sparse": (lambda c, dt, rng: make_scene(rng, 300, 8, c, dt, batches=2), False),
+}
+
+
+class TestDensePlan:
+    """The dense plan gives the pair plan's bits in the forward and in both
+    backwards, and runs exactly where its rule says."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("c_in,c_out", [(a, b) for a in (1, 2, 8, 16) for b in (1, 2, 8, 16)])
+    @pytest.mark.parametrize("scene", list(DENSE_SCENES))
+    def test_bits_equal_pair_plan(self, scene, c_in, c_out, kernel, dtype):
+        rng = np.random.default_rng(23)
+        make, fills = DENSE_SCENES[scene]
+        t = make(c_in, dtype, rng)
+        w = ConvWeights.random(kernel, c_in, c_out, rng, dtype=dtype)
+        w.bias[:] = rng.normal(size=c_out)
+        km = build_kernel_map(t, kernel, 1)
+        one_pair = any(r.shape[0] == 1 for r in km.in_rows)
+        assert one_pair == (scene == "cube-2" and kernel > 1)
+        assert (km.box is not None) == (fills and not one_pair)
+        # rows of up to 64 bytes: 16 float32 or 8 float64 columns
+        narrow = max(c_in, c_out) * np.dtype(dtype).itemsize <= 64
+        assert conv._dense(km, w.weights) == (km.box is not None and min(c_in, c_out) > 1
+                                              and narrow)
+        pairs = dataclasses.replace(km, box=None)
+        grad_out = rng.normal(size=(km.num_out, c_out)).astype(dtype)
+        got = [sparse_conv_forward(t, w, km).features,
+               *sparse_conv_backward(grad_out, t, w, km),
+               sparse_conv_backward(grad_out, t, w, km, params=False)[0]]
+        want = [sparse_conv_forward(t, w, pairs).features,
+                *sparse_conv_backward(grad_out, t, w, pairs),
+                sparse_conv_backward(grad_out, t, w, pairs, params=False)[0]]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_nonfinite_weights_take_the_pair_plan(self, rng):
+        # an empty cell's zero row times inf would add NaN to its neighbours
+        t = box_scene((4, 4, 4), 1, 2, np.float64, rng)
+        w = ConvWeights.random(3, 2, 2, rng)
+        w.weights[0, 0, 0] = np.inf
+        km = build_kernel_map(t, 3, 1)
+        assert km.box is not None and not conv._dense(km, w.weights)
 
 
 class TestResidualBlock:

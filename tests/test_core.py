@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from link3d import (
     pack_keys,
     voxelize,
 )
+from conftest import box_coords
 from oracles import regroup_voxels
 
 
@@ -188,6 +191,102 @@ class TestAccumulate:
         out = np.zeros((0, 2))
         core._accumulate(out, np.ones((3, 2)), [np.zeros(0, np.int64)], [np.zeros(0, np.int64)])
         assert out.shape == (0, 2)
+
+
+class TestDilateKeys:
+    """``dilate_keys`` sorts and drops repeats: the output is ``np.unique``'s."""
+
+    @staticmethod
+    def unique_union(keys, axis, lo, hi):
+        shift = core.KEY_XYZ_SHIFTS[axis]
+        field = (keys >> shift) & (core.KEY_FIELD - 1)
+        moved = [keys[(field + d >= 0) & (field + d < core.KEY_FIELD)] + (d << shift)
+                 for d in range(lo, hi + 1)]
+        return np.unique(np.concatenate(moved))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (-1, 1), (-2, 1), (-3, 3)])
+    def test_equals_unique(self, rng, axis, lo, hi):
+        # neighbouring keys overlap when moved, so the union holds duplicates
+        coords = rng.integers(-4, 4, size=(300, 4))
+        coords[:, 0] = rng.integers(0, 2, size=300)
+        keys = np.unique(pack_keys(coords))
+        got = core.dilate_keys(keys, axis, lo, hi)
+        want = self.unique_union(keys, axis, lo, hi)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        if hi > lo:
+            assert got.shape[0] < keys.shape[0] * (hi - lo + 1)
+
+    def test_unsorted_input(self, rng):
+        keys = pack_keys(np.unique(rng.integers(0, 6, size=(100, 4)), axis=0))
+        shuffled = keys[rng.permutation(keys.shape[0])]
+        assert np.array_equal(core.dilate_keys(shuffled, 1, -1, 2),
+                              self.unique_union(keys, 1, -1, 2))
+
+    def test_empty(self):
+        got = core.dilate_keys(np.zeros(0, np.int64), 0, -1, 1)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    def test_moves_that_leave_the_box_are_dropped(self):
+        edge = core.COORD_BOUND
+        keys = np.sort(pack_keys([(0, -edge, 0, edge - 1), (0, edge - 1, 5, -edge),
+                                  (1, 0, -edge, 0)]))
+        for axis in (0, 1, 2):
+            got = core.dilate_keys(keys, axis, -2, 2)
+            want = self.unique_union(keys, axis, -2, 2)
+            assert np.array_equal(got, want)
+            # on every axis some key sits at its field's end and loses two moves
+            assert got.shape[0] < 5 * keys.shape[0]
+            assert np.array_equal(core.pack_keys(core._unpack_keys(got)), got)
+
+
+class TestDenseBox:
+    @staticmethod
+    def shifted_box(rng, shape, batches=1):
+        return box_coords(shape, batches, rng.integers(-50, 50, size=3))
+
+    def test_half_full_takes_the_box(self, rng):
+        coords = self.shifted_box(rng, (4, 3, 2), batches=2)
+        keep = np.sort(rng.permutation(coords.shape[0])[: coords.shape[0] // 2])
+        # keep both corners so the bounding box stays the full box
+        keep[0], keep[-1] = 0, coords.shape[0] - 1
+        keep = np.unique(keep)
+        coords = coords[keep]
+        assert 2 * coords.shape[0] >= 48
+        box = core.dense_box(coords, pad=1)
+        assert box.shape == (2, 5, 4, 3)
+        first = coords.min(axis=0)
+        assert np.array_equal(box.cells, np.ravel_multi_index((coords - first).T, box.shape))
+
+    def test_rows_in_key_order_have_ascending_cells(self, rng):
+        coords = self.shifted_box(rng, (3, 4, 5), batches=2)
+        coords = coords[np.argsort(pack_keys(coords))]
+        box = core.dense_box(coords, pad=2)
+        assert (np.diff(box.cells) > 0).all()
+
+    def test_below_half_is_none(self, rng):
+        coords = self.shifted_box(rng, (4, 4, 4))
+        assert core.dense_box(coords[:32]) is not None
+        corners = coords[[0, 63]]
+        assert core.dense_box(np.concatenate([corners, coords[1:31]])) is not None
+        assert core.dense_box(np.concatenate([corners, coords[1:30]])) is None
+        assert core.dense_box(np.zeros((0, 4), np.int64)) is None
+
+    def test_far_corners_do_not_overflow(self):
+        edge = core.COORD_BOUND
+        coords = np.array([(0, -edge, -edge, -edge), (65535, edge - 1, edge - 1, edge - 1)])
+        assert core.dense_box(coords) is None
+
+    def test_sparse_set_allocates_nothing_of_its_size(self, rng):
+        coords = rng.integers(-1000, 1000, size=(20000, 4))
+        coords[:, 0] = 0
+        tracemalloc.start()
+        try:
+            assert core.dense_box(coords, pad=1) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 < coords.nbytes
 
 
 class TestVoxelize:

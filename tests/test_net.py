@@ -16,7 +16,13 @@ from link3d import (
 )
 from link3d import net
 from link3d.core import coarsen
-from link3d.layers import LN_EPS, LayerNormParams, layer_norm_backward, layer_norm_forward
+from link3d.layers import (
+    LN_EPS,
+    LayerNormParams,
+    layer_norm_backward,
+    layer_norm_forward,
+    relu_backward,
+)
 from link3d.net import EncoderConfig, LinKModule, ResidualBlock, SegModel, SparseConv
 from conftest import make_scene
 from oracles import compare_sampled, dense_conv_oracle, fd_grad, loop_majority
@@ -408,6 +414,22 @@ class TestToyTrain:
         bad = np.full(t.num_voxels, 9)
         with pytest.raises(ConfigError):
             toy_train([t], [bad], small_config(channels=4), 1, 0.1, num_classes=4)
+
+
+class TestReluBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_equal_where(self, rng, dtype):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.5])
+        g = np.concatenate([np.repeat(special, special.size), rng.normal(size=1000)])
+        x = np.concatenate([np.tile(special, special.size), rng.normal(size=1000)])
+        g, x = (v.astype(dtype).reshape(-1, 4) for v in (g, x))
+        got = relu_backward(g, x)
+        want = np.where(x > 0, g, 0)
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # -0.0, and NaN in g where x > 0, keep their bits; x = NaN or 0 gives +0.0
+        assert np.signbit(got[(x > 0) & (g == 0) & np.signbit(g)]).all()
+        assert not np.signbit(got[~(x > 0)]).any()
 
 
 class TestDownsampleLabels:
