@@ -18,21 +18,18 @@ coordinate set and the weight shapes alone, with the same bits:
   gathered pairs, and the core module docstring lists the three exact ways
   the product is added;
 * the dense plan, for a stride-1 set that fills at least half of its
-  (batch, x, y, z) bounding box (:func:`core.dense_box`, the rule LinK's block
-  grid also follows).  The rows are scattered once into a zeroed flat box,
-  padded by ``K // 2`` planes after x, y and z, so that every offset is one
-  flat shift and a shift past an edge lands on a padding cell.  Each offset
-  is then one GEMM over a contiguous slice of the box, added into a zeroed
-  output box in offset order, and one gather reads the rows back out.  The
-  features' gradient is the same plan with the shift negated and ``W[o].T``.
+  (batch, x, y, z) bounding box: one pass of the library's dense-box
+  primitive, :func:`core._shift_sum`, on the set's box (:func:`core.dense_box`)
+  padded by ``K // 2`` planes after x, y and z.  Each offset is one GEMM
+  per row tile, added in offset order.  The features' gradient negates the
+  offsets and uses ``W[o].T``.
 
-The dense plan adds the pair plan's products to every row in the same
-order, plus an empty cell's zero product where the pair plan has no term;
-an accumulator that starts at +0.0 never holds -0.0, so that leaves it
-unchanged.  Its GEMMs run over other row counts than the pair lists, so it
-runs only where a row's product bits do not depend on the row count: no
-offset has exactly one pair, both widths are at least 2 and at most 64
-bytes, and the weights are finite (:func:`_dense`).
+The core module docstring shows why the dense plan adds the pair plan's
+products to every row in the same order, plus an empty cell's zero product
+where the pair plan has no term.  Its GEMMs run over other row counts than
+the pair lists, so it runs only where a row's product bits do not depend on
+the row count: no offset has exactly one pair, both widths are at least 2
+and at most 64 bytes, and the weights are finite (:func:`_dense`).
 
 The weights' gradient uses each offset's gathered pair rows on either plan.
 On the pair plan it reuses the ``grad_out`` rows the features' gradient
@@ -41,16 +38,15 @@ gathers for each offset, so the backward gathers them once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .core import DenseBox, SparseTensor, _accumulate, _tiles, coarsen, dense_box, probe_keys
+from .core import (DenseBox, SparseTensor, _accumulate, _shift_sum, coarsen, dense_box,
+                   probe_keys)
 from .errors import ConfigError, DimensionError
 
-DENSE_TILE_ROWS = 2048   # box rows per tile of the dense plan's products and adds
 DENSE_ROW_BYTES = 64     # widest weight row, in bytes, the dense plan multiplies
 
 
@@ -209,35 +205,6 @@ def _dense(km: KernelMap, weights: np.ndarray) -> bool:
             and bool(np.isfinite(weights).all()))
 
 
-def _dense_sum(values: np.ndarray, km: KernelMap, weights: np.ndarray, sign: int) -> np.ndarray:
-    """``out[p] = sum_o values[p + sign * offsets[o]] @ weights[o]`` over the
-    map's box, offsets in order.
-
-    The rows are scattered once into a zeroed flat box with a margin of the
-    largest shift at both ends.  Each offset is one matrix product over the
-    contiguous slice its flat shift away, added into a zeroed output box; the
-    box runs in row tiles, all offsets per tile, so the products and sums stay
-    in cache.  One gather reads the rows back out.
-    """
-    box = km.box
-    _, _, ny, nz = box.shape
-    shifts = sign * (km.offsets @ np.array([ny * nz, nz, 1]))
-    margin = int(np.abs(shifts).max())
-    size = math.prod(box.shape)
-    src = np.zeros((size + 2 * margin, values.shape[1]), values.dtype)
-    src[margin + box.cells] = values
-    acc = np.zeros((size, weights.shape[2]), values.dtype)
-    # a tile takes a one-row tail, so it holds up to DENSE_TILE_ROWS + 1 rows
-    prod = np.empty((min(size, DENSE_TILE_ROWS + 1), weights.shape[2]), values.dtype)
-    starts = (margin + shifts).tolist()
-    for rows in _tiles(size, DENSE_TILE_ROWS):
-        out, buf = acc[rows], prod[: rows.stop - rows.start]
-        for o, start in enumerate(starts):
-            lo = rows.start + start
-            out += np.matmul(src[lo : lo + buf.shape[0]], weights[o], out=buf)
-    return np.take(acc, box.cells, axis=0)
-
-
 def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> SparseTensor:
     """Apply the kernel over the map's dense box or its pair lists."""
     if km.offsets.shape[0] != w.weights.shape[0]:
@@ -249,7 +216,7 @@ def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> Spars
     dtype = t.dtype
     weights = w.weights.astype(dtype, copy=False)
     if _dense(km, weights):
-        out = _dense_sum(t.features, km, weights, 1)
+        out = _shift_sum(t.features, km.box, [km.offsets], weights)
     else:
         out = np.zeros((km.num_out, w.c_out), dtype=dtype)
         _accumulate(out, t.features, km.in_rows, km.out_rows, weights)
@@ -282,7 +249,7 @@ def sparse_conv_backward(grad_out: np.ndarray, t: SparseTensor, w: ConvWeights, 
 
     if _dense(km, weights):
         # offset o's transpose reads the cell -o away, offsets in the same order
-        grad_features = _dense_sum(grad_out, km, weights.transpose(0, 2, 1), -1)
+        grad_features = _shift_sum(grad_out, km.box, [-km.offsets], weights.transpose(0, 2, 1))
         # the weights' gradient keeps its pair rows: a product over the box
         # would sum over other rows, in other blocks, with other bits
         if params:

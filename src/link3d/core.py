@@ -21,9 +21,7 @@ indexed output rows: for each index list o in turn,
 on its pair plan (forward and the features' gradient, one list per kernel
 offset) and each pass of LinK's separable box sum on its sorted-key plan (one
 list per block offset, with ``weights=None``: the gathered rows are added as
-they are).  Both callers have a dense plan too, for a set that fills at least
-half of its bounding box: :func:`dense_box` holds that one occupancy rule and
-the box layout.  How a list's rows are added depends on how many out rows it
+they are).  How a list's rows are added depends on how many out rows it
 covers:
 
 1. all of them, in row order: ``out += prod``;
@@ -38,6 +36,24 @@ and 2 are exact because an accumulator that starts at +0.0 never holds
 leaves its bits unchanged.  The matrix product, when there is one, runs over
 exactly the list's gathered rows, so each product row has the same bits
 whatever the BLAS does with matrix shape.
+
+Both callers have a dense plan too, for a set that fills at least half of
+its (batch, x, y, z) bounding box.  :func:`dense_box` holds that one
+occupancy rule and the box layout, and :func:`_shift_sum` is the one
+dense-box primitive: the rows go once into a zeroed flat C-order array of
+the box, padded by empty planes after x, y and z and with a zero margin of
+the largest shift at both ends, so that a move of at most the padding along
+each axis is one flat shift.  Each pass adds, in order, the cells its moves
+away (times ``W[o]``, or as they are) into a zeroed box, one row tile at a
+time, and one gather reads the rows out.  The convolution runs one pass of
+its kernel offsets; LinK's box sum runs three, along x, then y, then z.
+
+A move past the set's box along an axis reads a cell that is padding along
+that axis and inside the box along every finer one.  It stays +0.0 until a
+pass moves along that axis: a move along a coarser axis keeps the finer
+coordinates, and one along a finer axis reads only other such cells.  So
+one pass of any moves, or passes along one axis each, add the pair plan's
+terms in its order, plus zeros that leave the bits unchanged as above.
 """
 
 from __future__ import annotations
@@ -56,6 +72,7 @@ BATCH_BOUND = 1 << 16               # batch index in [0, 65536)
 KEY_FIELD = 1 << 16                 # values one x, y or z field of a key holds
 KEY_XYZ_SHIFTS = (32, 16, 0)        # bit offsets of the x, y, z fields
 TILE_ROWS = 1024                    # rows per tile of a row-tiled per-voxel chain
+DENSE_TILE_ROWS = 2048              # box cells per tile of a dense-box pass
 
 
 def _as_coord_array(coords) -> np.ndarray:
@@ -236,6 +253,38 @@ def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None
             index = np.full(n_out, n, dtype=np.int64)
             index[dst] = np.arange(n)
             out += np.take(prod, index, axis=0)
+
+
+def _shift_sum(values: np.ndarray, box: DenseBox, passes, weights=None) -> np.ndarray:
+    """The rows of ``values`` laid out in ``box``, run through ``passes``
+    and read back out.
+
+    Each pass is an (n, 3) array of (x, y, z) moves: every cell c of a zeroed
+    box becomes ``sum_o prev[c + moves[o]] @ weights[o]`` in order, or the sum
+    of the cells themselves with ``weights=None``.  The module docstring says
+    which moves the box's padding allows.
+    """
+    _, _, ny, nz = box.shape
+    shifts = [(moves @ np.array([ny * nz, nz, 1])).tolist() for moves in passes]
+    size = math.prod(box.shape)
+    margin = max(abs(s) for flat in shifts for s in flat)
+    width = values.shape[1] if weights is None else weights.shape[2]
+    src = np.zeros((size + 2 * margin, values.shape[1]), values.dtype)
+    src[margin + box.cells] = values
+    if weights is not None:
+        # a tile takes a one-row tail, so it holds up to DENSE_TILE_ROWS + 1 rows
+        prod = np.empty((min(size, DENSE_TILE_ROWS + 1), width), values.dtype)
+    for flat in shifts:
+        out = np.zeros((size + 2 * margin, width), values.dtype)
+        for rows in _tiles(size, DENSE_TILE_ROWS):
+            acc = out[margin + rows.start : margin + rows.stop]
+            for o, s in enumerate(flat):
+                cells = src[margin + rows.start + s : margin + rows.stop + s]
+                if weights is not None:
+                    cells = np.matmul(cells, weights[o], out=prod[: len(cells)])
+                acc += cells
+        src = out
+    return np.take(src, margin + box.cells, axis=0)
 
 
 def coarsen(coords: np.ndarray, factor: int):

@@ -39,10 +39,11 @@ than r^3.  The gather plans the sum once per forward, and the backward pass
 replays the plan transposed.  There are two plans, chosen by occupancy alone:
 
 * the block grid (:class:`BlockGrid`), when the occupied blocks fill at least
-  half of their (batch, x, y, z) bounding box, the rule of
-  ``core._accumulate``'s path 2.  The blocks are laid out in a zeroed dense
-  array of the box, each pass adds into a zeroed box r shifted slices of the
-  previous pass's box, clipped where they leave it, and no key is probed;
+  half of their (batch, x, y, z) bounding box: three passes of the library's
+  dense-box primitive (the core module docstring describes it), along x, y
+  and z, on the blocks' box padded by the window's reach, and no key is
+  probed.  An offset of a whole extent or more along its axis reads no block
+  and is dropped;
 * the sorted-key plan (:class:`GatherSets`) otherwise: the occupied block
   keys dilated along z, and then y, are the targets of the x and y passes,
   and each pass probes its r offsets once and keeps the (dst, src) row pairs.
@@ -50,14 +51,15 @@ replays the plan transposed.  There are two plans, chosen by occupancy alone:
 Summation order is the library's, not numpy's.  A block proxy starts at
 +0.0 and adds its members' weighted features one at a time in ascending
 voxel row, one slot at a time.  A box-sum pass starts at +0.0 and adds its r
-shifted neighbors in ascending offset; on the key plan each pass is a call
-of the library's one gather-accumulate primitive (``core._accumulate``).  The
-transposed pass adds them in descending offset, which is the ascending order
-of the reflected window.  Both plans add the same terms to every cell that
-feeds an output in that order.  Where the key plan has no term, the grid
-adds an empty cell's +0.0 (no block) or nothing (a move out of the box).  An
-accumulator that starts at +0.0 never holds -0.0, so adding +0.0 leaves it
-unchanged, and the two plans give the same bits.
+shifted neighbors in ascending offset; each pass is one call of the
+library's gather-accumulate primitive (``core._accumulate``) on the key
+plan, one pass of its dense-box primitive on the grid.  The transposed pass
+adds them in descending offset, which is the ascending order of the
+reflected window.  Both plans add the same terms to every cell that feeds
+an output in that order.  Where the key plan has no term, the grid adds a
+zero cell's +0.0 (no block, or a move past the box's edge) or nothing (a
+dropped shift).  An accumulator that starts at +0.0 never holds -0.0, so
+adding +0.0 leaves it unchanged, and the two plans give the same bits.
 
 ``link_oracle`` is the quadratic-cost pairwise form of the same operator and
 serves as the correctness reference for ``link_forward``.
@@ -82,8 +84,10 @@ import numpy as np
 
 from .core import (
     TILE_ROWS,
+    DenseBox,
     SparseTensor,
     _accumulate,
+    _shift_sum,
     _tiles,
     coarsen,
     dense_box,
@@ -356,9 +360,9 @@ class BlockGrid(NamedTuple):
     """The gather's dense plan, for blocks that fill at least half of their
     bounding box in (batch, x, y, z) key fields."""
 
-    occupied: np.ndarray   # x-pass targets: the box's cells in key order, True at a block
-    box: tuple             # (batch, x, y, z) extent of the box
-    window: tuple          # (lo, hi) block offsets per axis
+    occupied: np.ndarray   # x-pass targets: the padded box's cells in key order, True at a block
+    box: DenseBox          # the blocks' box, padded by the longest kept offset
+    passes: tuple          # per pass (x, y, z): the (x, y, z) moves of its kept offsets
 
 
 def _key_plan(keys: np.ndarray, lo: int, hi: int) -> GatherSets:
@@ -381,49 +385,22 @@ def _grid_plan(coords: np.ndarray, lo: int, hi: int) -> Optional[BlockGrid]:
     """The dense plan for the (M, 4) block ``coords`` in key order, or None
     when :func:`core.dense_box` finds them too sparse for it.
 
-    Key order is coordinate order, so the box's C order is key order and a
-    block's cell rank is its row.
+    An offset of a whole extent or more along its axis reads no block, so it
+    is dropped, and the box is padded by the longest offset kept.  Key order
+    is coordinate order, so a block's cell rank in the box is its row.
     """
-    box = dense_box(coords)
+    if coords.shape[0] == 0:
+        return None
+    extent = coords[:, 1:].max(axis=0) - coords[:, 1:].min(axis=0) + 1
+    kept = [[d for d in range(lo, hi + 1) if abs(d) < e] for e in extent.tolist()]
+    box = dense_box(coords, max(abs(d) for axis in kept for d in axis))
     if box is None:
         return None
     occupied = np.zeros(math.prod(box.shape), dtype=bool)
     occupied[box.cells] = True
-    return BlockGrid(occupied, box.shape, (lo, hi))
-
-
-def _grid_pass(grid: np.ndarray, axis: int, shifts, out: np.ndarray) -> None:
-    """One 1-D pass on (batch, x, y, z, W) boxes of one shape: each cell of
-    ``out`` adds the cells of ``grid`` ``shifts`` away along spatial
-    ``axis``, in order.  A shift that leaves the box adds nothing."""
-    n = out.shape[axis + 1]
-    src, dst = [slice(None)] * 4, [slice(None)] * 4
-    for d in shifts:
-        # out[i] += grid[i + d] wherever i + d is in the box; clamping both
-        # bounds keeps a shift of n or more cells either way from making a
-        # negative stop, which would count from the end of the axis
-        lo, hi = (min(max(v, 0), n) for v in (d, n + d))
-        src[axis + 1], dst[axis + 1] = slice(lo, hi), slice(lo - d, hi - d)
-        out[tuple(dst)] += grid[tuple(src)]
-
-
-def _grid_sum(values: np.ndarray, grid: BlockGrid, adjoint: bool) -> np.ndarray:
-    """``_box_sum`` on the dense plan: the blocks are laid out in their box,
-    and each pass adds r clipped, shifted slices of the previous pass's box
-    into a zeroed box."""
-    lo, hi = grid.window
-    axes, shifts = (0, 1, 2), range(lo, hi + 1)
-    if adjoint:
-        # offset d's transpose reads -d, offsets in descending order
-        axes, shifts = (2, 1, 0), range(-hi, -lo + 1)
-    mask = grid.occupied.reshape(grid.box)
-    box = np.zeros((*grid.box, values.shape[1]), values.dtype)
-    box[mask] = values
-    for axis in axes:
-        out = np.zeros_like(box)
-        _grid_pass(box, axis, shifts, out)
-        box = out
-    return box[mask]
+    # each axis's kept offsets as (x, y, z) moves along it
+    passes = tuple(np.outer(ds, np.eye(3, dtype=np.int64)[axis]) for axis, ds in enumerate(kept))
+    return BlockGrid(occupied, box, passes)
 
 
 def _box_sum(values, sets, adjoint=False):
@@ -434,11 +411,14 @@ def _box_sum(values, sets, adjoint=False):
     with its offsets reversed: offset d's pairs swapped are offset -d's of the
     reflected window, so this computes the transpose of the forward sum
     exactly.  On a :class:`GatherSets` plan each pass is one primitive call,
-    its pairs swapped in the adjoint; on a :class:`BlockGrid` it is r
-    shifted-slice adds.
+    its pairs swapped in the adjoint; on a :class:`BlockGrid` it is one pass
+    of the dense-box primitive, its moves negated in the adjoint.
     """
     if isinstance(sets, BlockGrid):
-        return _grid_sum(values, sets, adjoint)
+        passes = sets.passes
+        if adjoint:
+            passes = [-moves[::-1] for moves in reversed(passes)]
+        return _shift_sum(values, sets.box, passes)
     sizes = [sets.along_zy.shape[0], sets.along_z.shape[0], values.shape[0]]
     passes = sets.passes
     if adjoint:

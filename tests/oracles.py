@@ -7,47 +7,13 @@ genuinely different code paths.
 
 import numpy as np
 
-
-def rel_err(a, b):
-    """Max absolute deviation scaled by the larger array magnitude."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size == 0:
-        return 0.0
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-8)
-    return float(np.abs(a - b).max()) / scale
-
-
-def fd_grad(fun, arr, h=1e-6, sample=None, rng=None):
-    """Central finite differences of a scalar function w.r.t. arr (in place).
-
-    With ``sample`` set, only that many randomly chosen entries are probed and
-    the rest of the returned gradient is NaN (callers compare on the probed
-    mask).
-    """
-    flat = arr.reshape(-1)
-    grad = np.full(flat.shape[0], np.nan)
-    if sample is None or sample >= flat.shape[0]:
-        idx = np.arange(flat.shape[0])
-    else:
-        idx = (rng or np.random.default_rng(0)).choice(
-            flat.shape[0], size=sample, replace=False
-        )
-    for i in idx:
-        keep = flat[i]
-        flat[i] = keep + h
-        hi = fun()
-        flat[i] = keep - h
-        lo = fun()
-        flat[i] = keep
-        grad[i] = (hi - lo) / (2.0 * h)
-    return grad.reshape(arr.shape)
+from link3d.verify import relative_error
 
 
 def compare_sampled(fd, analytic):
-    """rel_err restricted to the finite entries of a sampled FD gradient."""
+    """relative_error restricted to the finite entries of a sampled FD gradient."""
     mask = np.isfinite(fd)
-    return rel_err(fd[mask], np.asarray(analytic)[mask])
+    return relative_error(fd[mask], np.asarray(analytic)[mask])
 
 
 def dense_conv_oracle(coords, feats, weights, bias, kernel_size, stride=1):

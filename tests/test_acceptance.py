@@ -38,9 +38,9 @@ from link3d import (
 from link3d.cli import main as cli_main
 from link3d.data import gen_synthetic_scene
 from link3d.net import EncoderConfig
-from link3d.verify import suite_gradient
+from link3d.verify import finite_difference, suite_gradient
 from conftest import make_scene
-from oracles import compare_sampled, dense_conv_oracle, fd_grad, rel_err
+from oracles import compare_sampled, dense_conv_oracle
 
 GRID = [(s, r, c) for s in (1, 3, 7) for r in (1, 2, 3) for c in (1, 4, 32)]
 
@@ -239,7 +239,7 @@ class TestGradientSuites:
             for name, arr in enc.named_parameters():
                 # seeded by the path, so module order does not move the samples
                 sample_rng = np.random.default_rng([seed + 50, zlib.crc32(name.encode())])
-                fd = fd_grad(loss, arr, sample=2, rng=sample_rng)
+                fd = finite_difference(loss, arr, sample=2, rng=sample_rng)
                 worst = max(worst, compare_sampled(fd, grads[name]))
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-3 and elapsed < 120.0

@@ -15,8 +15,9 @@ from link3d import (
 )
 from link3d.layers import LayerNormParams, layer_norm_forward
 from link3d.net import ResidualBlock
+from link3d.verify import finite_difference, relative_error
 from conftest import box_coords, make_scene
-from oracles import dense_conv_oracle, fd_grad, rel_err
+from oracles import dense_conv_oracle
 
 
 def offset_index(km, offset):
@@ -223,9 +224,9 @@ class TestBackward:
             return float((sparse_conv_forward(t, w, km).features * probe).sum())
 
         gf, gw, gb = sparse_conv_backward(probe, t, w, km)
-        assert rel_err(fd_grad(loss, t.features), gf) <= 1e-4
-        assert rel_err(fd_grad(loss, w.weights), gw) <= 1e-4
-        assert rel_err(fd_grad(loss, w.bias), gb) <= 1e-4
+        assert relative_error(finite_difference(loss, t.features), gf) <= 1e-4
+        assert relative_error(finite_difference(loss, w.weights), gw) <= 1e-4
+        assert relative_error(finite_difference(loss, w.bias), gb) <= 1e-4
 
     @pytest.mark.parametrize("seed", [5])
     def test_downsample_backward_fd(self, seed):
@@ -239,8 +240,8 @@ class TestBackward:
             return float((sparse_conv_forward(t, w, km).features * probe).sum())
 
         gf, gw, gb = sparse_conv_backward(probe, t, w, km)
-        assert rel_err(fd_grad(loss, t.features), gf) <= 1e-4
-        assert rel_err(fd_grad(loss, w.weights), gw) <= 1e-4
+        assert relative_error(finite_difference(loss, t.features), gf) <= 1e-4
+        assert relative_error(finite_difference(loss, w.weights), gw) <= 1e-4
 
     def test_grad_shape_mismatch(self, rng):
         t = make_scene(rng, 20, 5, 3)

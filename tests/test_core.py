@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,74 @@ class TestAccumulate:
         out = np.zeros((0, 2))
         core._accumulate(out, np.ones((3, 2)), [np.zeros(0, np.int64)], [np.zeros(0, np.int64)])
         assert out.shape == (0, 2)
+
+
+class TestShiftSum:
+    """The dense-box primitive against ``_accumulate`` over ``probe_keys``
+    pairs of the same moves, byte for byte."""
+
+    KERNEL = list(itertools.product(range(-1, 2), range(-1, 2), range(-2, 3)))
+    # moves along x, then y, then z, over windows of their own
+    AXES = [[tuple(d * (a == axis) for a in range(3)) for d in window]
+            for axis, window in enumerate((range(-2, 2), range(-1, 3), range(-2, 3)))]
+
+    @staticmethod
+    def scene(rng, name):
+        """Coordinates, in row order, that fill at least half of their box."""
+        if name == "one-voxel":
+            return np.array([[0, 7, -3, 12]])
+        coords = box_coords((4, 5, 6), 2 if name == "two-batches" else 1,
+                            rng.integers(-30, 30, size=3))
+        # 70% of the voxels, and both corners so the box stays the full box
+        keep = rng.random(coords.shape[0]) < 0.7
+        keep[[0, -1]] = True
+        coords = coords[keep]
+        if name != "key-order":
+            coords = coords[rng.permutation(coords.shape[0])]
+        return coords
+
+    @staticmethod
+    def pair_sum(t, values, passes, weights):
+        """The passes on pairs: pass k's targets are the set's keys moved by
+        every move of the passes after it."""
+        targets = [t._sorted_keys]
+        for moves in passes[:0:-1]:
+            at = core._unpack_keys(targets[0])
+            targets.insert(0, np.unique(np.concatenate(
+                [pack_keys(at + (0, *move)) for move in moves])))
+        x, src_keys = values[t._order], t._sorted_keys
+        for moves, dst_keys in zip(passes, targets):
+            pairs = [core.probe_keys(dst_keys, src_keys, move) for move in moves]
+            out = np.zeros((dst_keys.shape[0], x.shape[1] if weights is None
+                            else weights.shape[2]), x.dtype)
+            core._accumulate(out, x, [src for _, src in pairs], [dst for dst, _ in pairs],
+                             weights)
+            x, src_keys = out, dst_keys
+        rows = np.empty_like(x)
+        rows[t._order] = x
+        return rows
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chained", [False, True])
+    # one voxel makes one-pair lists, which numpy multiplies on its vector path
+    @pytest.mark.parametrize("name,weighted", [
+        (name, weighted) for name in ("key-order", "permuted", "two-batches", "one-voxel")
+        for weighted in (False, True) if not (weighted and name == "one-voxel")])
+    def test_bits_equal_pairs(self, name, weighted, chained, dtype, rng):
+        coords = self.scene(rng, name)
+        passes = self.AXES if chained else [self.KERNEL]
+        pad = max(abs(d) for moves in passes for move in moves for d in move)
+        box = core.dense_box(coords, pad)
+        assert box is not None
+        t = SparseTensor(coords, rng.normal(size=(coords.shape[0], 4)).astype(dtype))
+        values = t.features.copy()
+        values[1::5] = -0.0
+        weights = None
+        if weighted:
+            # weights[o] multiplies move o of every pass
+            weights = rng.normal(size=(max(map(len, passes)), 4, 4)).astype(dtype)
+        got = core._shift_sum(values, box, [np.array(moves) for moves in passes], weights)
+        assert got.tobytes() == self.pair_sum(t, values, passes, weights).tobytes()
 
 
 class TestDilateKeys:

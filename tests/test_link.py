@@ -17,8 +17,9 @@ from link3d import (
     partition_blocks,
     push_proxies,
 )
-from conftest import make_scene
-from oracles import block_regroup, fd_grad, neighbor_window, neighborhood_rows, rel_err
+from link3d.verify import finite_difference, relative_error
+from conftest import box_coords, make_scene
+from oracles import block_regroup, neighbor_window, neighborhood_rows
 
 
 def make_generator(rng, channels, groups=1, mode="pure", s=3, r=2):
@@ -468,7 +469,7 @@ class TestGridPlan:
         t = dense_scene(rng, 12, 1)
         part, proxies = pushed(t, 3, rng)
         grid = link._gather(part, proxies, 5)[3]
-        assert grid[0].shape[0] == int(np.prod(grid.box))
+        assert grid[0].shape[0] == int(np.prod(grid.box.shape))
         assert int(grid.occupied.sum()) == part.num_blocks
 
     @pytest.mark.parametrize("width", [1, 2, 3])
@@ -486,7 +487,7 @@ class TestGridPlan:
         grid = link._gather(part, proxies, r)[3]
         assert isinstance(grid, link.BlockGrid)
         # an unaligned start spreads the slab over one more block
-        assert grid.box[width] <= width + 1
+        assert np.ptp(part.block_coords[:, width]) + 1 <= width + 1
         keys = link._key_plan(part.block_keys, *link.neighbor_window(r))
         for dtype in (np.float32, np.float64):
             v = rng.normal(size=(part.num_blocks, 5)).astype(dtype)
@@ -497,6 +498,24 @@ class TestGridPlan:
             cfg = LinKConfig(s, r, make_generator(rng, 2, 1, "pure", s, r))
             diff = link_forward(t, cfg).features - link_oracle(t, cfg).features
             assert np.abs(diff).max() <= 1e-12
+
+    def test_window_far_wider_than_box(self, rng):
+        # at s = 1, r = 41 the window reaches 20 blocks either way across a
+        # box of 3: each shift of 3 or more is dropped, and the box is padded
+        # by the longest one kept, not by the window's reach
+        edge, batches = 3, 2
+        coords = box_coords((edge,) * 3, batches, (5, -4, 9))
+        t = permuted(SparseTensor(coords, rng.normal(size=(coords.shape[0], 2))), rng)
+        part, proxies = pushed(t, 1, rng)
+        grid = link._gather(part, proxies, 41)[3]
+        assert isinstance(grid, link.BlockGrid)
+        assert grid.occupied.shape[0] <= batches * (2 * edge) ** 3
+        keys = link._key_plan(part.block_keys, *link.neighbor_window(41))
+        for dtype in (np.float32, np.float64):
+            v = rng.normal(size=(part.num_blocks, 5)).astype(dtype)
+            for adjoint in (False, True):
+                assert (link._box_sum(v, grid, adjoint).tobytes()
+                        == link._box_sum(v, keys, adjoint).tobytes())
 
 
 def push_loop(part, features, k_cos, k_sin):
@@ -813,34 +832,29 @@ class TestInvariances:
 
 
 def x_pass_reads(monkeypatch, t, cfg):
-    """Proxy rows the gather's first (x) pass reads in one ``link_forward``:
-    on the key plan the rows found by its first r key probes, on the grid
-    plan the cells holding a block (population column nonzero) that its r
-    shifted slices cover."""
-    probe = link.probe_keys
-    grid_pass = link._grid_pass
-    found = []
-    read = []
+    """Proxy rows the gather's first (x) pass reads in one ``link_forward``,
+    counted from the plan ``_gather`` returns: on the key plan its x pass's
+    (dst, src) pairs, on the grid plan the cells holding a block that its
+    shifts read from the cells of the padded box."""
+    gather = link._gather
+    plans = []
 
-    def counting(*args):
-        rows, src = probe(*args)
-        found.append(rows.shape[0])
-        return rows, src
-
-    def counting_pass(grid, axis, shifts, out):
-        if not read:
-            # shift d reads x cells [d, n + d) clipped to the box [0, n)
-            n = grid.shape[1]
-            held = grid[..., -1] != 0
-            read.append(sum(int(held[:, max(d, 0) : max(n + d, 0)].sum()) for d in shifts))
-        grid_pass(grid, axis, shifts, out)
+    def keep_plan(*args, **kwargs):
+        out = gather(*args, **kwargs)
+        plans.append(out[3])
+        return out
 
     with monkeypatch.context() as m:
-        m.setattr(link, "probe_keys", counting)
-        m.setattr(link, "_grid_pass", counting_pass)
+        m.setattr(link, "_gather", keep_plan)
         link_forward(t, cfg)
-    assert not (found and read), "one gather ran both plans"
-    return sum(found[: cfg.neighbor_range]) + sum(read)
+    (plan,) = plans
+    if isinstance(plan, link.GatherSets):
+        return sum(dst.shape[0] for dst in plan.passes[0][0])
+    # cell c reads cell c + s, s = dx * ny * nz, where that lies in the box [0, n)
+    held, n = plan.occupied, plan.occupied.shape[0]
+    _, _, ny, nz = plan.box.shape
+    shifts = (plan.passes[0][:, 0] * ny * nz).tolist()
+    return sum(int(held[max(s, 0) : n + min(s, 0)].sum()) for s in shifts)
 
 
 class TestCounters:
@@ -947,9 +961,9 @@ class TestBackward:
         _, state = link_forward(t, cfg, return_state=True)
         gf, gw, gfr = link_backward(probe, t, cfg, state)
         # pure mode: the output is the input, so grad_weight is zero
-        np.testing.assert_allclose(gf, fd_grad(loss, t.features), rtol=0, atol=1e-7)
-        np.testing.assert_allclose(gw, fd_grad(loss, gen.weight), rtol=0, atol=1e-7)
-        np.testing.assert_allclose(gfr, fd_grad(loss, gen.frequency), rtol=0, atol=1e-7)
+        np.testing.assert_allclose(gf, finite_difference(loss, t.features), rtol=0, atol=1e-7)
+        np.testing.assert_allclose(gw, finite_difference(loss, gen.weight), rtol=0, atol=1e-7)
+        np.testing.assert_allclose(gfr, finite_difference(loss, gen.frequency), rtol=0, atol=1e-7)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["pure", "augmented"])
@@ -983,7 +997,7 @@ class TestBackward:
 
         _, state = link_forward(t, cfg, return_state=True)
         gf, gw, gfr = link_backward(probe, t, cfg, state)
-        assert rel_err(fd_grad(loss, t.features), gf) <= 1e-4
-        assert rel_err(fd_grad(loss, gen.weight), gw) <= 1e-4
+        assert relative_error(finite_difference(loss, t.features), gf) <= 1e-4
+        assert relative_error(finite_difference(loss, gen.weight), gw) <= 1e-4
         if mode == "augmented":
-            assert rel_err(fd_grad(loss, gen.frequency), gfr) <= 1e-4
+            assert relative_error(finite_difference(loss, gen.frequency), gfr) <= 1e-4

@@ -24,8 +24,9 @@ from link3d.layers import (
     relu_backward,
 )
 from link3d.net import EncoderConfig, LinKModule, ResidualBlock, SegModel, SparseConv
+from link3d.verify import finite_difference
 from conftest import make_scene
-from oracles import compare_sampled, dense_conv_oracle, fd_grad, loop_majority
+from oracles import compare_sampled, dense_conv_oracle, loop_majority
 
 
 def dense_slab(width, depth, channels=1, seed=0, dtype=np.float64):
@@ -247,10 +248,10 @@ class TestEndToEndGradients:
         for name, arr in enc.named_parameters():
             # seeded by the path, so module order does not move the samples
             sample_rng = np.random.default_rng([seed + 100, zlib.crc32(name.encode())])
-            fd = fd_grad(loss, arr, sample=2, rng=sample_rng)
+            fd = finite_difference(loss, arr, sample=2, rng=sample_rng)
             assert compare_sampled(fd, grads[name]) <= 1e-3, name
         # the input gradient, from the full and from the input-only backward
-        fd = fd_grad(loss, t.features, sample=8, rng=np.random.default_rng(seed + 200))
+        fd = finite_difference(loss, t.features, sample=8, rng=np.random.default_rng(seed + 200))
         assert compare_sampled(fd, g_in) <= 1e-3
         enc.forward(t)
         assert compare_sampled(fd, enc.backward(probes, params=False)) <= 1e-3
