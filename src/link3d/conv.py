@@ -14,22 +14,19 @@ coordinate set and the weight shapes alone, with the same bits:
 
 * the pair plan: one call of the library's gather-accumulate primitive,
   :func:`core._accumulate`, with the kernel weights: for each offset in turn,
-  ``out[dst] += x[src] @ W[o]``.  The GEMM runs over exactly the offset's
-  gathered pairs, and the core module docstring lists the three exact ways
-  the product is added;
+  ``out[dst] += x[src] @ W[o]``.  The core module docstring lists the three
+  exact ways the product is added;
 * the dense plan, for a stride-1 set that fills at least half of its
   (batch, x, y, z) bounding box: one pass of the library's dense-box
   primitive, :func:`core._shift_sum`, on the set's box (:func:`core.dense_box`)
-  padded by ``K // 2`` planes after x, y and z.  Each offset is one GEMM
+  padded by ``K // 2`` planes after x, y and z.  Each offset is one product
   per row tile, added in offset order.  The features' gradient negates the
   offsets and uses ``W[o].T``.
 
-The core module docstring shows why the dense plan adds the pair plan's
-products to every row in the same order, plus an empty cell's zero product
-where the pair plan has no term.  Its GEMMs run over other row counts than
-the pair lists, so it runs only where a row's product bits do not depend on
-the row count: no offset has exactly one pair, both widths are at least 2
-and at most 64 bytes, and the weights are finite (:func:`_dense`).
+Both plans multiply in ``core.PRODUCT_ROWS``-row blocks, so a row's product
+has the same bits on either.  The core module docstring shows why the dense
+plan adds them to every row in the pair plan's order, plus an empty cell's
+product where the pair plan has no term, zero while the weights are finite.
 
 The weights' gradient uses each offset's gathered pair rows on either plan.
 On the pair plan it reuses the ``grad_out`` rows the features' gradient
@@ -46,8 +43,6 @@ import numpy as np
 from .core import (DenseBox, SparseTensor, _accumulate, _shift_sum, coarsen, dense_box,
                    probe_keys)
 from .errors import ConfigError, DimensionError
-
-DENSE_ROW_BYTES = 64     # widest weight row, in bytes, the dense plan multiplies
 
 
 def kernel_offsets(kernel_size: int, stride: int = 1) -> np.ndarray:
@@ -84,7 +79,7 @@ class KernelMap:
     num_in: int
     # stride 2: the output coordinate set, whose tensors share one map cache
     _out: Optional[SparseTensor] = field(default=None, repr=False)
-    # stride 1: the set's box, padded by K // 2, when the dense plan may run
+    # stride 1: the set's box, padded by K // 2, when it is dense enough
     box: Optional[DenseBox] = field(default=None, repr=False)
 
     @property
@@ -128,13 +123,8 @@ def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> Kern
     offsets = kernel_offsets(kernel_size, stride)
     if stride == 1:
         in_rows, out_rows = _submanifold_pairs(t, offsets)
-        # a one-pair list is a one-row product, which numpy runs on its
-        # vector path with other bits than a row of a matrix product
-        box = None
-        if all(rows.shape[0] != 1 for rows in in_rows):
-            box = dense_box(t.coords, kernel_size // 2)
         return KernelMap(kernel_size, stride, offsets, in_rows, out_rows,
-                         t.coords, t.num_voxels, box=box)
+                         t.coords, t.num_voxels, box=dense_box(t.coords, kernel_size // 2))
     # coarsen's sorted keys fix the output row order
     coarse, keys = coarsen(t.coords, 2)[:2]
     out = SparseTensor._from_sorted(coarse, keys, np.zeros((coarse.shape[0], 0), t.dtype))
@@ -188,21 +178,9 @@ class ConvWeights:
 
 
 def _dense(km: KernelMap, weights: np.ndarray) -> bool:
-    """Whether the dense plan runs.  It gives the pair plan's bits where each
-    product row has the bits of the same row in a product of any other
-    number of rows, and an empty cell's zero row adds nothing:
-
-    * the map has a box (it has no one-pair list);
-    * both widths are at least 2: numpy runs a width of 1 on its vector path;
-    * both are at most ``DENSE_ROW_BYTES``.  Wider rows, measured on
-      OpenBLAS 0.3.31, take kernels whose row bits move with the row count
-      (from 32 float32 or 16 float64 columns);
-    * the weights are finite, so a zero row's product is zero.
-    """
-    widths = weights.shape[1:]
-    return (km.box is not None and min(widths) > 1
-            and max(widths) * weights.itemsize <= DENSE_ROW_BYTES
-            and bool(np.isfinite(weights).all()))
+    """Whether the dense plan runs: the map has a box, and the weights are
+    finite, so an empty cell's zero row adds nothing."""
+    return km.box is not None and bool(np.isfinite(weights).all())
 
 
 def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> SparseTensor:

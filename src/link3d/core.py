@@ -33,9 +33,14 @@ covers:
 All three give the bits of ``out[dst] += prod`` with unique ``dst``.  Paths 1
 and 2 are exact because an accumulator that starts at +0.0 never holds
 -0.0 (a float sum is -0.0 only if both terms are), and adding +0.0 to it
-leaves its bits unchanged.  The matrix product, when there is one, runs over
-exactly the list's gathered rows, so each product row has the same bits
-whatever the BLAS does with matrix shape.
+leaves its bits unchanged.
+
+Every matrix product here is ``PRODUCT_ROWS`` rows times ``W[o]``: a list's
+gathered rows, or a tile of box cells, are zero-padded to whole blocks and go
+through one stacked ``np.matmul`` (:func:`_blocked_matmul`), one BLAS product
+per block.  A product row's bits then depend only on the row and ``W[o]``, not
+on how many rows the list or the box has, on a BLAS whose rows of a product of
+one shape do not depend on its other rows (as on OpenBLAS 0.3.31).
 
 Both callers have a dense plan too, for a set that fills at least half of
 its (batch, x, y, z) bounding box.  :func:`dense_box` holds that one
@@ -72,7 +77,8 @@ BATCH_BOUND = 1 << 16               # batch index in [0, 65536)
 KEY_FIELD = 1 << 16                 # values one x, y or z field of a key holds
 KEY_XYZ_SHIFTS = (32, 16, 0)        # bit offsets of the x, y, z fields
 TILE_ROWS = 1024                    # rows per tile of a row-tiled per-voxel chain
-DENSE_TILE_ROWS = 2048              # box cells per tile of a dense-box pass
+PRODUCT_ROWS = 256                  # rows of every matrix product in _accumulate and _shift_sum
+DENSE_TILE_ROWS = 8 * PRODUCT_ROWS  # box cells per tile of a dense-box pass
 
 
 def _as_coord_array(coords) -> np.ndarray:
@@ -209,6 +215,18 @@ def _tiles(n: int, rows: int = TILE_ROWS):
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [n])]
 
 
+def _padded(n: int) -> int:
+    """``n`` rounded up to a multiple of ``PRODUCT_ROWS``."""
+    return -(-n // PRODUCT_ROWS) * PRODUCT_ROWS
+
+
+def _blocked_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """``a @ w`` into the C-contiguous ``out``, one BLAS product per
+    ``PRODUCT_ROWS``-row block of ``a``, whose row count is a multiple of it."""
+    np.matmul(a.reshape(-1, PRODUCT_ROWS, a.shape[1]), w,
+              out=out.reshape(-1, PRODUCT_ROWS, w.shape[1]))
+
+
 def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None,
                 on_gather=None):
     """``out[dst_rows[o]] += x[src_rows[o]] @ weights[o]`` for each list o in turn.
@@ -222,33 +240,31 @@ def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None
     n_out, width = out.shape
     if out.size == 0:
         return
-
-    def product(o, src, buf=None):
-        """The list's gathered rows, times ``weights[o]`` when given, into ``buf``."""
-        if weights is None:
-            # rows are in range by construction; "clip" fills buf unbuffered
-            return np.take(x, src, axis=0, out=buf, mode="clip")
-        gathered = np.take(x, src, axis=0)
-        if on_gather is not None:
-            on_gather(o, gathered)
-        return np.matmul(gathered, weights[o], out=buf)
-
     # one void item per row: the scatter moves whole rows
     rows = out.view(np.dtype((np.void, out.dtype.itemsize * width)))[:, 0]
+    # one buffer for every list: its product rows lead, path 2 appends a zero row
+    size = _padded(max((d.shape[0] for d in dst_rows), default=0) + 1)
+    prod = np.empty((size, width), out.dtype)
+    gathered = None if weights is None else np.empty((size, x.shape[1]), x.dtype)
     for o, (src, dst) in enumerate(zip(src_rows, dst_rows)):
         n = dst.shape[0]
         if n == 0:
             continue
+        # rows are in range by construction; "clip" fills out= unbuffered
+        np.take(x, src, axis=0, out=(prod if weights is None else gathered)[:n], mode="clip")
+        if weights is not None:
+            gathered[n : _padded(n)] = 0
+            if on_gather is not None:
+                on_gather(o, gathered[:n])
+            _blocked_matmul(gathered[: _padded(n)], weights[o], prod[: _padded(n)])
         if 2 * n < n_out:
             acc = np.take(out, dst, axis=0)
-            acc += product(o, src)
+            acc += prod[:n]
             rows[dst] = acc.view(rows.dtype)[:, 0]
         elif n == n_out and (dst[1:] > dst[:-1]).all():
-            out += product(o, src)
+            out += prod[:n]
         else:
-            # the product, then one zero row for the out rows the list misses
-            prod = np.empty((n + 1, width), out.dtype)
-            product(o, src, prod[:n])
+            # one zero row for the out rows the list misses
             prod[n] = 0
             index = np.full(n_out, n, dtype=np.int64)
             index[dst] = np.arange(n)
@@ -262,27 +278,30 @@ def _shift_sum(values: np.ndarray, box: DenseBox, passes, weights=None) -> np.nd
     Each pass is an (n, 3) array of (x, y, z) moves: every cell c of a zeroed
     box becomes ``sum_o prev[c + moves[o]] @ weights[o]`` in order, or the sum
     of the cells themselves with ``weights=None``.  The module docstring says
-    which moves the box's padding allows.
+    which moves the box's padding allows.  The flat arrays run on to whole
+    ``PRODUCT_ROWS`` blocks, whose cells past the box no pass writes.
     """
     _, _, ny, nz = box.shape
     shifts = [(moves @ np.array([ny * nz, nz, 1])).tolist() for moves in passes]
     size = math.prod(box.shape)
     margin = max(abs(s) for flat in shifts for s in flat)
     width = values.shape[1] if weights is None else weights.shape[2]
-    src = np.zeros((size + 2 * margin, values.shape[1]), values.dtype)
+    length = _padded(size) + 2 * margin
+    src = np.zeros((length, values.shape[1]), values.dtype)
     src[margin + box.cells] = values
     if weights is not None:
-        # a tile takes a one-row tail, so it holds up to DENSE_TILE_ROWS + 1 rows
-        prod = np.empty((min(size, DENSE_TILE_ROWS + 1), width), values.dtype)
+        prod = np.empty((min(_padded(size), DENSE_TILE_ROWS), width), values.dtype)
     for flat in shifts:
-        out = np.zeros((size + 2 * margin, width), values.dtype)
-        for rows in _tiles(size, DENSE_TILE_ROWS):
-            acc = out[margin + rows.start : margin + rows.stop]
+        out = np.zeros((length, width), values.dtype)
+        for lo in range(margin, margin + size, DENSE_TILE_ROWS):
+            hi = min(lo + DENSE_TILE_ROWS, margin + size)
+            acc, n = out[lo:hi], _padded(hi - lo)
             for o, s in enumerate(flat):
-                cells = src[margin + rows.start + s : margin + rows.stop + s]
-                if weights is not None:
-                    cells = np.matmul(cells, weights[o], out=prod[: len(cells)])
-                acc += cells
+                if weights is None:
+                    acc += src[lo + s : hi + s]
+                else:
+                    _blocked_matmul(src[lo + s : lo + s + n], weights[o], prod[:n])
+                    acc += prod[: hi - lo]
         src = out
     return np.take(src, margin + box.cells, axis=0)
 

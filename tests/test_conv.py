@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -251,10 +252,24 @@ class TestBackward:
             sparse_conv_backward(np.zeros((km.num_out, 5)), t, w, km)
 
 
+PRODUCT_ROWS = 256
+
+
+def blocked_product(a, weights):
+    """``a @ weights`` as the conv's product contract states it: the rows,
+    zero-padded to a multiple of 256, multiplied 256 rows at a time."""
+    blocks = -(-a.shape[0] // PRODUCT_ROWS)
+    padded = np.zeros((blocks * PRODUCT_ROWS, a.shape[1]), a.dtype)
+    padded[: a.shape[0]] = a
+    prods = [padded[i * PRODUCT_ROWS : (i + 1) * PRODUCT_ROWS] @ weights for i in range(blocks)]
+    return np.concatenate(prods)[: a.shape[0]]
+
+
 def reference_conv(t, w, km, grad_out):
     """The per-offset formula the shared primitive replaced: a fancy get, add
     and set of out rows for each offset, and the same loop by hand for the
-    features' gradient.  Returns (out, grad_features, grad_weights)."""
+    features' gradient, each offset's product in 256-row blocks.  Returns
+    (out, grad_features, grad_weights)."""
     weights = w.weights.astype(t.dtype)
     out = np.zeros((km.num_out, w.c_out), t.dtype)
     grad_features = np.zeros_like(t.features)
@@ -262,9 +277,9 @@ def reference_conv(t, w, km, grad_out):
     for o, (ir, orow) in enumerate(zip(km.in_rows, km.out_rows)):
         if ir.shape[0] == 0:
             continue
-        out[orow] += t.features[ir] @ weights[o]
+        out[orow] += blocked_product(t.features[ir], weights[o])
         g = grad_out[orow]
-        grad_features[ir] += g @ weights[o].T
+        grad_features[ir] += blocked_product(g, weights[o].T)
         grad_weights[o] = t.features[ir].T @ g
     out += w.bias.astype(t.dtype)
     return out, grad_features, grad_weights
@@ -284,8 +299,8 @@ def permuted(t, rng):
 
 
 # Scenes chosen so that every accumulation path runs: a filled 6^3 block
-# covers at least half of the rows at every stride-1 offset (at widths above
-# 1 it runs on the dense plan, which TestDensePlan compares); a sparse
+# covers at least half of the rows at every stride-1 offset (it runs on the
+# dense plan, which TestDensePlan compares with the pair plan); a sparse
 # two-batch scene covers fewer than half at every offset but the centre; an
 # even-coordinate block at stride 2 covers every fine row from one offset,
 # in a row order the permutation scrambles.
@@ -303,7 +318,7 @@ class TestSharedPrimitive:
     accumulation path: all rows covered, at least half, and fewer."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("c_in,c_out", [(3, 4), (1, 4), (4, 1)])
+    @pytest.mark.parametrize("c_in,c_out", [(3, 4), (1, 4), (4, 1), (16, 2), (32, 2)])
     @pytest.mark.parametrize("scene,stride", [
         ("block", 1), ("sparse", 1), ("permuted-block", 1), ("permuted-sparse", 1),
         ("block", 2), ("sparse", 2), ("permuted-even-block", 2),
@@ -371,8 +386,8 @@ def half_scene(channels, dtype, rng):
     return SparseTensor(t.coords[even], t.features[even])
 
 
-# (scene, whether it fills half of its box); the 2^3 cube fills it, but its
-# one-pair lists keep it on the pair plan above K=1
+# (scene, whether it fills half of its box); above K=1 the 2^3 cube has
+# one-pair lists, each one row of a PRODUCT_ROWS-row product on both plans
 DENSE_SCENES = {
     "cube": (lambda c, dt, rng: box_scene((6, 6, 6), 1, c, dt, rng, (-3, 2, 5)), True),
     "permuted-cube": (lambda c, dt, rng: permuted(box_scene((6, 5, 7), 1, c, dt, rng), rng), True),
@@ -388,11 +403,8 @@ class TestDensePlan:
     """The dense plan gives the pair plan's bits in the forward and in both
     backwards, and runs exactly where its rule says."""
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kernel", [1, 3, 5])
-    @pytest.mark.parametrize("c_in,c_out", [(a, b) for a in (1, 2, 8, 16) for b in (1, 2, 8, 16)])
-    @pytest.mark.parametrize("scene", list(DENSE_SCENES))
-    def test_bits_equal_pair_plan(self, scene, c_in, c_out, kernel, dtype):
+    @staticmethod
+    def check_bits(scene, c_in, c_out, kernel, dtype):
         rng = np.random.default_rng(23)
         make, fills = DENSE_SCENES[scene]
         t = make(c_in, dtype, rng)
@@ -401,11 +413,9 @@ class TestDensePlan:
         km = build_kernel_map(t, kernel, 1)
         one_pair = any(r.shape[0] == 1 for r in km.in_rows)
         assert one_pair == (scene == "cube-2" and kernel > 1)
-        assert (km.box is not None) == (fills and not one_pair)
-        # rows of up to 64 bytes: 16 float32 or 8 float64 columns
-        narrow = max(c_in, c_out) * np.dtype(dtype).itemsize <= 64
-        assert conv._dense(km, w.weights) == (km.box is not None and min(c_in, c_out) > 1
-                                              and narrow)
+        assert (km.box is not None) == fills
+        # finite weights: the box alone decides, at every width
+        assert conv._dense(km, w.weights) == (km.box is not None)
         pairs = dataclasses.replace(km, box=None)
         grad_out = rng.normal(size=(km.num_out, c_out)).astype(dtype)
         got = [sparse_conv_forward(t, w, km).features,
@@ -416,7 +426,22 @@ class TestDensePlan:
                 sparse_conv_backward(grad_out, t, w, pairs, params=False)[0]]
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+            assert a.tobytes() == b.tobytes(), (scene, c_in, c_out, kernel, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("c_in,c_out", [(a, b) for a in (1, 2, 8, 16) for b in (1, 2, 8, 16)])
+    @pytest.mark.parametrize("scene", list(DENSE_SCENES))
+    def test_bits_equal_pair_plan(self, scene, c_in, c_out, kernel, dtype):
+        self.check_bits(scene, c_in, c_out, kernel, dtype)
+
+    # wide and non-square widths; each case runs every scene, kernel and dtype
+    @pytest.mark.parametrize("c_in,c_out", [(32, 32), (64, 64), (16, 2), (32, 2), (2, 32),
+                                            (1, 64)])
+    def test_bits_equal_pair_plan_wide(self, c_in, c_out):
+        for scene, kernel, dtype in itertools.product(DENSE_SCENES, [1, 3, 5],
+                                                      [np.float32, np.float64]):
+            self.check_bits(scene, c_in, c_out, kernel, dtype)
 
     def test_nonfinite_weights_take_the_pair_plan(self, rng):
         # an empty cell's zero row times inf would add NaN to its neighbours
@@ -425,6 +450,34 @@ class TestDensePlan:
         w.weights[0, 0, 0] = np.inf
         km = build_kernel_map(t, 3, 1)
         assert km.box is not None and not conv._dense(km, w.weights)
+
+
+class TestRowsIndependentOfTheSet:
+    """A row's output and features' gradient have the same bits whatever
+    else the set holds: every product is 256 rows, however long the lists."""
+
+    @pytest.mark.parametrize("plan", ["dense", "pairs"])
+    @pytest.mark.parametrize("c_in,c_out,dtype", [
+        (4, 1, np.float32), (16, 1, np.float32), (16, 1, np.float64), (16, 2, np.float64)])
+    def test_copy_in_another_batch_keeps_the_bits(self, c_in, c_out, dtype, plan):
+        rng = np.random.default_rng(5)
+        t = box_scene((6, 6, 6), 1, c_in, dtype, rng)
+        n = t.num_voxels
+        copy = t.coords.copy()
+        copy[:, 0] = 1
+        twice = SparseTensor(np.concatenate([t.coords, copy]), np.concatenate([t.features] * 2))
+        w = ConvWeights.random(3, c_in, c_out, rng, dtype=dtype)
+        grad_out = rng.normal(size=(n, c_out)).astype(dtype)
+        got = []
+        for s, g in ((t, grad_out), (twice, np.concatenate([grad_out] * 2))):
+            km = build_kernel_map(s, 3, 1)
+            if plan == "pairs":
+                km = dataclasses.replace(km, box=None)
+            assert conv._dense(km, w.weights) == (plan == "dense")
+            got.append([sparse_conv_forward(s, w, km).features[:n],
+                        sparse_conv_backward(g, s, w, km, params=False)[0][:n]])
+        for a, b in zip(*got):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestResidualBlock:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from link3d import (
     erf_mass_radius,
     toy_train,
 )
+import link3d
 from link3d import net
 from link3d.core import coarsen
 from link3d.layers import (
@@ -376,6 +381,38 @@ class TestErf:
         enc = build_encoder(small_config(channels=2), seed=0)
         with pytest.raises(ConfigError):
             erf_map(t, enc, 1)
+
+
+# the segmentation benchmark's encoder on its first cube cloud of seed 3:
+# 120k uniform points in a 3.5 m cube, voxelized at 0.05 m (about 101k voxels)
+ERF_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from link3d import core, net
+rng = np.random.default_rng([3, 1, 0])
+points = rng.uniform(-1.75, 1.75, size=(120000, 3))
+intensity = rng.uniform(0.0, 1.0, size=(120000, 1))
+cfg = net.EncoderConfig(in_channels=1, stem_channels=16, stage_channels=(16,) * 4,
+                        block_sizes=(3,) * 4, neighbor_ranges=(2,) * 4, mode="pure",
+                        dtype=np.float32)
+t = core.voxelize(core.PointCloud(points, intensity), 0.05)
+_, mags, _ = net.erf_map(t, net.build_encoder(cfg, seed=3), 4)
+print(hashlib.sha256(mags.tobytes()).hexdigest())
+"""
+
+
+def test_erf_bits_do_not_depend_on_blas_threads():
+    # forward outputs and input gradients run every product in 256-row blocks
+    src = str(Path(link3d.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", ERF_HASH_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        hashes.append(run.stdout.strip())
+    assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
 
 
 class TestToyTrain:
