@@ -43,15 +43,16 @@ on how many rows the list or the box has, on a BLAS whose rows of a product of
 one shape do not depend on its other rows (as on OpenBLAS 0.3.31).
 
 Both callers have a dense plan too, for a set that fills at least half of
-its (batch, x, y, z) bounding box.  :func:`dense_box` holds that one
-occupancy rule and the box layout, and :func:`_shift_sum` is the one
-dense-box primitive: the rows go once into a zeroed flat C-order array of
-the box, padded by empty planes after x, y and z and with a zero margin of
-the largest shift at both ends, so that a move of at most the padding along
-each axis is one flat shift.  Each pass adds, in order, the cells its moves
-away (times ``W[o]``, or as they are) into a zeroed box, one row tile at a
-time, and one gather reads the rows out.  The convolution runs one pass of
-its kernel offsets; LinK's box sum runs three, along x, then y, then z.
+its (batch, x, y, z) bounding box.  :func:`box_bounds` holds that one
+occupancy rule, :func:`lay_out` the box layout, and :func:`_shift_sum` is
+the one dense-box primitive: the rows go once into a zeroed flat C-order
+array of the box, padded by empty planes after x, y and z and with a zero
+margin of the largest shift at both ends, so that a move of at most the
+padding along each axis is one flat shift.  Each pass adds, in order, the
+cells its moves away (times ``W[o]``, or as they are) into a zeroed box, one
+row tile at a time, and one gather reads the rows out.  The convolution runs
+one pass of its kernel offsets; LinK's box sum runs three, along x, then y,
+then z.
 
 A move past the set's box along an axis reads a cell that is padding along
 that axis and inside the box along every finer one.  It stays +0.0 until a
@@ -180,15 +181,13 @@ class DenseBox(NamedTuple):
     cells: np.ndarray    # the flat cell of each row
 
 
-def dense_box(coords: np.ndarray, pad: int = 0) -> Optional[DenseBox]:
-    """The cells of the (N, 4) ``coords`` in their (batch, x, y, z) bounding
-    box, with ``pad`` empty planes after its x, y and z extents; or None when
-    the rows fill less than half of the unpadded box (the rule of
-    :func:`_accumulate`'s path 2).
+def box_bounds(coords: np.ndarray) -> Optional[tuple]:
+    """``(first, extent)``, the first corner and the (batch, x, y, z) cell
+    counts of the (N, 4) ``coords``' bounding box; or None when the rows fill
+    less than half of it (the rule of :func:`_accumulate`'s path 2).
 
     A set that is too sparse costs one min and one max over ``coords`` and
-    allocates nothing of its size.  Key order is coordinate order, so the
-    rows of a key-ordered set have ascending cells.
+    allocates nothing of its size.
     """
     n = coords.shape[0]
     if n == 0:
@@ -198,8 +197,23 @@ def dense_box(coords: np.ndarray, pad: int = 0) -> Optional[DenseBox]:
     # Python integers: two corner voxels span up to 2^64 cells
     if 2 * n < math.prod(extent):
         return None
+    return first, extent
+
+
+def lay_out(coords: np.ndarray, bounds, pad: int = 0) -> DenseBox:
+    """The cells of ``coords`` in their ``box_bounds``, with ``pad`` empty
+    planes after its x, y and z extents.  Key order is coordinate order, so
+    the rows of a key-ordered set have ascending cells."""
+    first, extent = bounds
     shape = (extent[0], *(e + pad for e in extent[1:]))
     return DenseBox(shape, np.ravel_multi_index((coords - first).T, shape))
+
+
+def dense_box(coords: np.ndarray, pad: int = 0) -> Optional[DenseBox]:
+    """:func:`lay_out` of ``coords`` when :func:`box_bounds` finds them
+    dense enough, else None."""
+    bounds = box_bounds(coords)
+    return None if bounds is None else lay_out(coords, bounds, pad)
 
 
 def _tiles(n: int, rows: int = TILE_ROWS):

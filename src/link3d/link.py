@@ -89,9 +89,10 @@ from .core import (
     _accumulate,
     _shift_sum,
     _tiles,
+    box_bounds,
     coarsen,
-    dense_box,
     dilate_keys,
+    lay_out,
     probe_keys,
 )
 from .errors import ConfigError, DimensionError
@@ -383,19 +384,17 @@ def _key_plan(keys: np.ndarray, lo: int, hi: int) -> GatherSets:
 
 def _grid_plan(coords: np.ndarray, lo: int, hi: int) -> Optional[BlockGrid]:
     """The dense plan for the (M, 4) block ``coords`` in key order, or None
-    when :func:`core.dense_box` finds them too sparse for it.
+    when :func:`core.box_bounds` finds them too sparse for it.
 
     An offset of a whole extent or more along its axis reads no block, so it
     is dropped, and the box is padded by the longest offset kept.  Key order
     is coordinate order, so a block's cell rank in the box is its row.
     """
-    if coords.shape[0] == 0:
+    bounds = box_bounds(coords)
+    if bounds is None:
         return None
-    extent = coords[:, 1:].max(axis=0) - coords[:, 1:].min(axis=0) + 1
-    kept = [[d for d in range(lo, hi + 1) if abs(d) < e] for e in extent.tolist()]
-    box = dense_box(coords, max(abs(d) for axis in kept for d in axis))
-    if box is None:
-        return None
+    kept = [[d for d in range(lo, hi + 1) if abs(d) < e] for e in bounds[1][1:]]
+    box = lay_out(coords, bounds, max(abs(d) for axis in kept for d in axis))
     occupied = np.zeros(math.prod(box.shape), dtype=bool)
     occupied[box.cells] = True
     # each axis's kept offsets as (x, y, z) moves along it

@@ -9,8 +9,10 @@ differences and trained with plain gradient descent.  Each ``backward``
 takes ``params``: with False it returns the same input gradient but computes
 no parameter gradient, which is all the ERF probe needs.
 
-Layer instances cache forward intermediates on themselves; use one model
-instance per thread.
+Each ``forward`` takes ``grad``.  With True a layer keeps on itself the
+intermediates its ``backward`` reads; with False, the default for inference,
+it keeps none and drops what an earlier forward kept, and a ``backward``
+without kept state raises ConfigError.  Use one model instance per thread.
 """
 
 from __future__ import annotations
@@ -71,6 +73,22 @@ class Module:
         for _, child in self._children():
             child.zero_grads()
 
+    def _keep(self, grad: bool, **state):
+        """Keep ``state`` as attributes for the backward pass when ``grad``;
+        otherwise set them to None, dropping what an earlier forward kept."""
+        for name, value in state.items():
+            setattr(self, name, value if grad else None)
+
+    def _kept(self, *names):
+        """The attributes ``_keep`` kept, in order; ConfigError when the last
+        forward did not run with ``grad=True``."""
+        values = [getattr(self, name, None) for name in names]
+        if any(v is None for v in values):
+            raise ConfigError(
+                f"{type(self).__name__}.backward needs a forward with grad=True first"
+            )
+        return values
+
     def _acc(self, name: str, value: np.ndarray):
         if name in self.grads:
             self.grads[name] = self.grads[name] + value
@@ -98,15 +116,16 @@ class PointwiseConv(Module):
     def _params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def forward(self, feats: np.ndarray) -> np.ndarray:
-        self._x = feats
+    def forward(self, feats: np.ndarray, grad: bool = False) -> np.ndarray:
+        self._keep(grad, _x=feats)
         return feats @ self.weight.astype(feats.dtype, copy=False) + self.bias.astype(
             feats.dtype, copy=False
         )
 
     def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
+        (x,) = self._kept("_x")
         if params:
-            self._acc("weight", self._x.T @ grad)
+            self._acc("weight", x.T @ grad)
             self._acc("bias", grad.sum(axis=0))
         return grad @ self.weight.astype(grad.dtype, copy=False).T
 
@@ -123,18 +142,18 @@ class SparseConv(Module):
     def _params(self):
         return {"weight": self.conv.weights, "bias": self.conv.bias}
 
-    def forward(self, t: SparseTensor) -> SparseTensor:
+    def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
         # one map per coordinate set: tensors from with_features share the cache
         key = (self.kernel_size, self.stride)
         km = t._maps.get(key)
         if km is None:
             km = t._maps[key] = build_kernel_map(t, self.kernel_size, self.stride)
-        self._t = t
-        self._km = km
+        self._keep(grad, _t=t, _km=km)
         return sparse_conv_forward(t, self.conv, km)
 
     def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
-        gf, gw, gb = sparse_conv_backward(grad, self._t, self.conv, self._km, params=params)
+        t, km = self._kept("_t", "_km")
+        gf, gw, gb = sparse_conv_backward(grad, t, self.conv, km, params=params)
         if params:
             self._acc("weight", gw.astype(np.float64))
             self._acc("bias", gb.astype(np.float64))
@@ -151,12 +170,14 @@ class Norm(Module):
     def _params(self):
         return {"scale": self.params.scale, "shift": self.params.shift}
 
-    def forward(self, feats: np.ndarray) -> np.ndarray:
-        y, self._cache = layer_norm_forward(feats, self.params)
+    def forward(self, feats: np.ndarray, grad: bool = False) -> np.ndarray:
+        y, cache = layer_norm_forward(feats, self.params)
+        self._keep(grad, _cache=cache)
         return y
 
     def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
-        gx, gs, gsh = layer_norm_backward(grad, self._cache, params=params)
+        (cache,) = self._kept("_cache")
+        gx, gs, gsh = layer_norm_backward(grad, cache, params=params)
         if params:
             self._acc("scale", gs.astype(np.float64))
             self._acc("shift", gsh.astype(np.float64))
@@ -187,13 +208,17 @@ class LinKOp(Module):
             p["frequency"] = self.generator.frequency
         return p
 
-    def forward(self, t: SparseTensor) -> SparseTensor:
-        out, self._state = link_forward(t, self.cfg, return_state=True)
-        self._t = t
+    def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
+        if grad:
+            out, state = link_forward(t, self.cfg, return_state=True)
+        else:
+            out, state = link_forward(t, self.cfg), None
+        self._keep(grad, _t=t, _state=state)
         return out
 
     def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
-        gf, gw, gfreq = link_backward(grad, self._t, self.cfg, self._state, params=params)
+        t, state = self._kept("_t", "_state")
+        gf, gw, gfreq = link_backward(grad, t, self.cfg, state, params=params)
         if params:
             self._acc("weight", gw)
             if self.generator.mode == "augmented":
@@ -215,22 +240,24 @@ class ResidualBlock(Module):
         return [("conv1", self.conv1), ("conv2", self.conv2),
                 ("norm1", self.norm1), ("norm2", self.norm2)]
 
-    def forward(self, t: SparseTensor) -> SparseTensor:
-        h = self.conv1.forward(t).features
-        h = self.norm1.forward(h)
-        self._pre1 = h
+    def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
+        h = self.conv1.forward(t, grad).features
+        h = self.norm1.forward(h, grad)
+        self._keep(grad, _pre1=h)
         h = relu(h)
-        h = self.conv2.forward(t.with_features(h)).features
-        h = self.norm2.forward(h)
-        self._pre2 = h + t.features
-        return t.with_features(relu(self._pre2))
+        h = self.conv2.forward(t.with_features(h), grad).features
+        h = self.norm2.forward(h, grad)
+        h = h + t.features
+        self._keep(grad, _pre2=h)
+        return t.with_features(relu(h))
 
     def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
-        g = relu_backward(grad, self._pre2)
+        pre1, pre2 = self._kept("_pre1", "_pre2")
+        g = relu_backward(grad, pre2)
         skip = g
         g = self.norm2.backward(g, params)
         g = self.conv2.backward(g, params)
-        g = relu_backward(g, self._pre1)
+        g = relu_backward(g, pre1)
         g = self.norm1.backward(g, params)
         g = self.conv1.backward(g, params)
         return g + skip
@@ -247,8 +274,8 @@ class ResidualBranch(Module):
     def _children(self):
         return [("block1", self.block1), ("block2", self.block2)]
 
-    def forward(self, t: SparseTensor) -> SparseTensor:
-        return self.block2.forward(self.block1.forward(t))
+    def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
+        return self.block2.forward(self.block1.forward(t, grad), grad)
 
     def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
         return self.block1.backward(self.block2.backward(grad, params), params)
@@ -275,17 +302,18 @@ class LinKModule(Module):
         return [("pointwise", self.pointwise), ("link", self.link),
                 ("bypass", self.bypass), ("norm", self.norm)]
 
-    def forward(self, t: SparseTensor) -> SparseTensor:
-        h = self.bypass.forward(t).features
+    def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
+        h = self.bypass.forward(t, grad).features
         if self.link_enabled:
-            mixed = self.pointwise.forward(t.features)
-            h = h + self.link.forward(t.with_features(mixed)).features
-        h = self.norm.forward(h)
-        self._pre = h
+            mixed = self.pointwise.forward(t.features, grad)
+            h = h + self.link.forward(t.with_features(mixed), grad).features
+        h = self.norm.forward(h, grad)
+        self._keep(grad, _pre=h)
         return t.with_features(relu(h))
 
     def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
-        g = relu_backward(grad, self._pre)
+        (pre,) = self._kept("_pre")
+        g = relu_backward(grad, pre)
         g = self.norm.backward(g, params)
         gin = self.bypass.backward(g, params)
         if self.link_enabled:
@@ -305,14 +333,15 @@ class ConvNormReLU(Module):
     def _children(self):
         return [("conv", self.conv), ("norm", self.norm)]
 
-    def forward(self, t: SparseTensor) -> SparseTensor:
-        out = self.conv.forward(t)
-        h = self.norm.forward(out.features)
-        self._pre = h
+    def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
+        out = self.conv.forward(t, grad)
+        h = self.norm.forward(out.features, grad)
+        self._keep(grad, _pre=h)
         return out.with_features(relu(h))
 
     def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
-        g = relu_backward(grad, self._pre)
+        (pre,) = self._kept("_pre")
+        g = relu_backward(grad, pre)
         g = self.norm.backward(g, params)
         return self.conv.backward(g, params)
 
@@ -333,10 +362,10 @@ class Stage(Module):
         return [("down", self.down), ("residual", self.residual),
                 ("link_module", self.link_module)]
 
-    def forward(self, t: SparseTensor) -> SparseTensor:
-        d = self.down.forward(t)
-        a = self.residual.forward(d).features
-        b = self.link_module.forward(d).features
+    def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
+        d = self.down.forward(t, grad)
+        a = self.residual.forward(d, grad).features
+        b = self.link_module.forward(d, grad).features
         return d.with_features(a + b)
 
     def backward(self, grad: np.ndarray, params: bool = True) -> np.ndarray:
@@ -392,35 +421,41 @@ class Encoder(Module):
             kids.append((f"stage{i + 1}", s))
         return kids
 
-    def forward(self, t: SparseTensor, n_stages: Optional[int] = None) -> List[SparseTensor]:
-        """Stage outputs 1..n_stages (default all four)."""
+    def forward(self, t: SparseTensor, n_stages: Optional[int] = None,
+                grad: bool = False) -> List[SparseTensor]:
+        """Stage outputs 1..n_stages (default all four).
+
+        Pass ``grad=True`` when a :meth:`backward` follows; the default keeps
+        no state for it.
+        """
         n_stages = len(self.stages) if n_stages is None else n_stages
         if not 1 <= n_stages <= len(self.stages):
             raise ConfigError(f"n_stages must be in [1, {len(self.stages)}]")
-        x = self.stem2.forward(self.stem1.forward(t))
+        x = self.stem2.forward(self.stem1.forward(t, grad), grad)
         outs = []
         for stage in self.stages[:n_stages]:
-            x = stage.forward(x)
+            x = stage.forward(x, grad)
             outs.append(x)
-        self._n_ran = n_stages
+        self._keep(grad, _n_ran=n_stages)
         return outs
 
     def backward(self, stage_grads: Sequence[Optional[np.ndarray]],
                  params: bool = True) -> np.ndarray:
         """Chain gradients from any subset of stage outputs back to the input.
 
-        ``stage_grads[i]`` matches the i-th output of the last forward; None
-        entries contribute nothing.  Returns the gradient w.r.t. the input
-        tensor's features.  Parameter gradients accumulate into each module's
-        ``grads``; with ``params=False`` none is computed and ``grads`` is
-        left as it was.
+        ``stage_grads[i]`` matches the i-th output of the last forward, which
+        must have run with ``grad=True``; None entries contribute nothing.
+        Returns the gradient w.r.t. the input tensor's features.  Parameter
+        gradients accumulate into each module's ``grads``; with
+        ``params=False`` none is computed and ``grads`` is left as it was.
         """
-        if len(stage_grads) != self._n_ran:
+        (n_ran,) = self._kept("_n_ran")
+        if len(stage_grads) != n_ran:
             raise DimensionError(
-                f"expected {self._n_ran} stage gradients, got {len(stage_grads)}"
+                f"expected {n_ran} stage gradients, got {len(stage_grads)}"
             )
         g = None
-        for i in range(self._n_ran - 1, -1, -1):
+        for i in range(n_ran - 1, -1, -1):
             gi = stage_grads[i]
             if gi is not None:
                 g = gi if g is None else g + gi
@@ -452,7 +487,7 @@ def erf_map(t: SparseTensor, encoder: Encoder, target_stage: int):
         raise ConfigError("erf_map requires a non-empty scene")
     if not 1 <= target_stage <= len(encoder.stages):
         raise ConfigError(f"target stage must be in [1, {len(encoder.stages)}]")
-    outs = encoder.forward(t, n_stages=target_stage)
+    outs = encoder.forward(t, n_stages=target_stage, grad=True)
     top = outs[-1]
     if top.num_voxels == 0:
         raise ConfigError(f"stage {target_stage} has no voxels")
@@ -508,10 +543,10 @@ class SegModel(Module):
 
     def loss_and_grad(self, t: SparseTensor, stage1_labels: np.ndarray) -> float:
         """Cross-entropy at stage 1; accumulates parameter gradients."""
-        stage1 = self.encoder.forward(t, n_stages=1)[0]
+        stage1 = self.encoder.forward(t, n_stages=1, grad=True)[0]
         if stage1_labels.shape[0] != stage1.num_voxels:
             raise DimensionError("one label per stage-1 voxel required")
-        logits = self.head.forward(stage1.features)
+        logits = self.head.forward(stage1.features, grad=True)
         loss, dlogits = softmax_cross_entropy(logits, stage1_labels)
         g = self.head.backward(dlogits)
         self.encoder.backward([g])

@@ -31,6 +31,20 @@ def box_coords(shape, batches=1, corner=(0, 0, 0)):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
 
 
+def modules(module):
+    """``module`` and every module in the tree under it."""
+    yield module
+    for _, child in module._children():
+        yield from modules(child)
+
+
+def kept_state(module):
+    """(class name, attribute) of every backward state held in the tree
+    under ``module``: the modules' private attributes that are not None."""
+    return {(type(m).__name__, name) for m in modules(module)
+            for name, value in vars(m).items() if name.startswith("_") and value is not None}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -233,7 +233,7 @@ class TestGradientSuites:
                 ))
 
             enc.zero_grads()
-            enc.forward(t)
+            enc.forward(t, grad=True)
             enc.backward(probes)
             grads = dict(enc.named_grads())
             for name, arr in enc.named_parameters():

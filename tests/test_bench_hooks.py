@@ -4,12 +4,15 @@
 each layer.  A renamed callable, or a call path that bypasses one, drops that
 span's metrics from the traced result.  This runs each workload's small
 set-up scene under those wrappers: every wrapped name must exist, and every
-span on the workload's path must fire.
+span on the workload's path must fire.  The forward-only workload must also
+leave its encoder without backward state.
 """
 
 from pathlib import Path
 
 import pytest
+
+from conftest import kept_state
 
 LINKBENCH = Path(__file__).resolve().parent.parent / "linkbench"
 
@@ -39,3 +42,12 @@ def test_every_wrapped_span_fires(name, linkbench, tmp_path):
     assert tracer.absent == []
     fired = {s["name"] for s in tracer.spans}
     assert set(wl.on_path) <= fired, sorted(set(wl.on_path) - fired)
+
+
+def test_inference_keeps_no_backward_state(linkbench, tmp_path):
+    _, workloads = linkbench
+    wl = workloads.WORKLOADS["scan-det"](seed=0, out_dir=str(tmp_path))
+    inputs = wl.warm_inputs()
+    wl.build()
+    wl.op(inputs)
+    assert kept_state(wl.encoder) == set()

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from link3d.layers import (
 )
 from link3d.net import EncoderConfig, LinKModule, ResidualBlock, SegModel, SparseConv
 from link3d.verify import finite_difference
-from conftest import make_scene
+from conftest import kept_state, make_scene, modules
 from oracles import compare_sampled, dense_conv_oracle, loop_majority
 
 
@@ -178,7 +179,7 @@ class TestEncoder:
         assert len({id(arr) for _, arr in params}) == len(params)
         assert {"stem1.conv.weight", "stem2.norm.shift", "stage1.down.conv.weight",
                 "stage4.link_module.link.frequency"} <= set(paths)
-        outs = enc.forward(make_scene(rng, 60, 10, 1))
+        outs = enc.forward(make_scene(rng, 60, 10, 1), grad=True)
         enc.zero_grads()
         enc.backward([np.ones_like(o.features) for o in outs])
         grads = list(enc.named_grads())
@@ -247,7 +248,7 @@ class TestEndToEndGradients:
             )
 
         enc.zero_grads()
-        enc.forward(t)
+        enc.forward(t, grad=True)
         g_in = enc.backward(probes)
         grads = dict(enc.named_grads())
         for name, arr in enc.named_parameters():
@@ -258,13 +259,13 @@ class TestEndToEndGradients:
         # the input gradient, from the full and from the input-only backward
         fd = finite_difference(loss, t.features, sample=8, rng=np.random.default_rng(seed + 200))
         assert compare_sampled(fd, g_in) <= 1e-3
-        enc.forward(t)
+        enc.forward(t, grad=True)
         assert compare_sampled(fd, enc.backward(probes, params=False)) <= 1e-3
 
 
 def seed_grads(encoder, t, seed_coord, stage):
     """Stage gradients for a ones-vector at ``seed_coord``, as erf_map seeds."""
-    top = encoder.forward(t, n_stages=stage)[-1]
+    top = encoder.forward(t, n_stages=stage, grad=True)[-1]
     seed = np.zeros_like(top.features)
     seed[(top.coords == seed_coord).all(axis=1)] = 1.0
     return [None] * (stage - 1) + [seed]
@@ -290,7 +291,7 @@ class TestInputOnlyBackward:
     def test_input_only_leaves_grads_unchanged(self, rng):
         t = make_scene(rng, 80, 10, 1)
         enc = build_encoder(small_config(channels=3), seed=0)
-        probes = [np.ones_like(o.features) for o in enc.forward(t)]
+        probes = [np.ones_like(o.features) for o in enc.forward(t, grad=True)]
         enc.zero_grads()
         enc.backward(probes)
         before = {name: g.copy() for name, g in enc.named_grads()}
@@ -332,6 +333,65 @@ class TestInputOnlyBackward:
         expected = [y, x_hat, inv_std, grad_x, (grad_y * x_hat).sum(axis=0), grad_y.sum(axis=0)]
         for a, b in zip([got_y, cache[0], cache[1], *got], expected):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestForwardState:
+    """A forward keeps backward state only with ``grad=True``."""
+
+    STATE = {
+        ("Encoder", "_n_ran"), ("SparseConv", "_t"), ("SparseConv", "_km"),
+        ("PointwiseConv", "_x"), ("Norm", "_cache"), ("LinKOp", "_t"), ("LinKOp", "_state"),
+        ("ConvNormReLU", "_pre"), ("ResidualBlock", "_pre1"), ("ResidualBlock", "_pre2"),
+        ("LinKModule", "_pre"),
+    }
+
+    def test_default_forward_keeps_none_and_same_bytes(self, rng):
+        t = make_scene(rng, 300, 12, 1, np.float32, batches=2)
+        enc = build_encoder(small_config(mode="augmented", dtype=np.float32), seed=0)
+        kept = enc.forward(t, grad=True)
+        assert kept_state(enc) == self.STATE
+        outs = enc.forward(t)
+        assert kept_state(enc) == set()
+        for a, b in zip(kept, outs):
+            assert a.coords.tobytes() == b.coords.tobytes()
+            assert a.features.tobytes() == b.features.tobytes()
+
+    @pytest.mark.parametrize("earlier_grad", [False, True])
+    def test_backward_without_state_raises(self, rng, earlier_grad):
+        t = make_scene(rng, 200, 10, 1)
+        enc = build_encoder(small_config(channels=3), seed=0)
+        outs = enc.forward(t, grad=earlier_grad)
+        enc.forward(t)
+        with pytest.raises(ConfigError, match="grad=True"):
+            enc.backward([np.ones_like(o.features) for o in outs])
+        # every module, leaf or composite, checks before it computes
+        for module in modules(enc.stages[0]):
+            with pytest.raises(ConfigError, match="grad=True"):
+                module.backward(np.ones((1, 3)))
+
+    def test_no_forward_raises(self, rng):
+        with pytest.raises(ConfigError, match="SparseConv.backward"):
+            SparseConv(3, 2, 2, rng).backward(np.ones((4, 2)))
+
+    def test_forward_only_peak_below_half(self):
+        """tracemalloc peak of a forward-only pass on a two-batch scene at the
+        detection preset, against the same pass keeping its backward state."""
+        t = make_scene(np.random.default_rng(0), 20000, 60, 1, np.float32, batches=2)
+        enc = build_encoder(EncoderConfig(
+            stage_channels=(16,) * 4, block_sizes=(7,) * 4, neighbor_ranges=(3,) * 4,
+            mode="augmented", dtype=np.float32), seed=0)
+        enc.forward(t)  # the kernel maps, cached on t, count in neither peak
+
+        def peak(grad):
+            tracemalloc.start()
+            try:
+                enc.forward(t, grad=grad)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        inference, training = peak(False), peak(True)
+        assert inference < 0.5 * training, (inference, training)
 
 
 class TestErf:
