@@ -9,8 +9,9 @@ Pair lists in the kernel map are sorted by (out_row, in_row) and offsets are
 iterated in a fixed lexicographic order, which pins the floating-point
 summation order and makes results bit-reproducible.
 
-Forward and the features' gradient run on one of two plans, chosen from the
-coordinate set and the weight shapes alone, with the same bits:
+Forward and the features' gradient run through one function,
+:func:`_run_plan`, on one of two plans, chosen from the coordinate set and
+the weight shapes alone, with the same bits:
 
 * the pair plan: one call of the library's gather-accumulate primitive,
   :func:`core._accumulate`, with the kernel weights: for each offset in turn,
@@ -28,9 +29,8 @@ has the same bits on either.  The core module docstring shows why the dense
 plan adds them to every row in the pair plan's order, plus an empty cell's
 product where the pair plan has no term, zero while the weights are finite.
 
-The weights' gradient uses each offset's gathered pair rows on either plan.
-On the pair plan it reuses the ``grad_out`` rows the features' gradient
-gathers for each offset, so the backward gathers them once.
+The weights' gradient is one product per offset on either plan, over the
+offset's whole pair list: ``x[in_rows[o]].T @ grad_out[out_rows[o]]``.
 """
 
 from __future__ import annotations
@@ -183,6 +183,17 @@ def _dense(km: KernelMap, weights: np.ndarray) -> bool:
     return km.box is not None and bool(np.isfinite(weights).all())
 
 
+def _run_plan(values: np.ndarray, km: KernelMap, weights: np.ndarray, offsets: np.ndarray,
+              src_rows, dst_rows, n_out: int) -> np.ndarray:
+    """``out[dst_rows[o]] += values[src_rows[o]] @ weights[o]`` into ``n_out`` zero rows: on
+    the map's box, moved by ``offsets``, when :func:`_dense` allows it, else on the lists."""
+    if _dense(km, weights):
+        return _shift_sum(values, km.box, [offsets], weights)
+    out = np.zeros((n_out, weights.shape[2]), dtype=values.dtype)
+    _accumulate(out, values, src_rows, dst_rows, weights)
+    return out
+
+
 def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> SparseTensor:
     """Apply the kernel over the map's dense box or its pair lists."""
     if km.offsets.shape[0] != w.weights.shape[0]:
@@ -192,12 +203,8 @@ def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> Spars
     if km.num_in != t.num_voxels:
         raise DimensionError("kernel map was built for a different tensor")
     dtype = t.dtype
-    weights = w.weights.astype(dtype, copy=False)
-    if _dense(km, weights):
-        out = _shift_sum(t.features, km.box, [km.offsets], weights)
-    else:
-        out = np.zeros((km.num_out, w.c_out), dtype=dtype)
-        _accumulate(out, t.features, km.in_rows, km.out_rows, weights)
+    out = _run_plan(t.features, km, w.weights.astype(dtype, copy=False), km.offsets,
+                    km.in_rows, km.out_rows, km.num_out)
     if w.bias is not None:
         out += w.bias.astype(dtype, copy=False)
     return (km._out if km.stride == 2 else t).with_features(out)
@@ -218,25 +225,15 @@ def sparse_conv_backward(grad_out: np.ndarray, t: SparseTensor, w: ConvWeights, 
     dtype = t.dtype
     # one rounding on entry: every product below is in the tensor's dtype
     grad_out = grad_out.astype(dtype, copy=False)
-    weights = w.weights.astype(dtype, copy=False)
-    grad_weights = np.zeros_like(weights) if params else None
-
-    def weight_grad(o, grad_rows):
-        # grad_rows is grad_out[out_rows[o]], gathered for the features' gradient
-        grad_weights[o] = np.take(t.features, km.in_rows[o], axis=0).T @ grad_rows
-
-    if _dense(km, weights):
-        # offset o's transpose reads the cell -o away, offsets in the same order
-        grad_features = _shift_sum(grad_out, km.box, [-km.offsets], weights.transpose(0, 2, 1))
-        # the weights' gradient keeps its pair rows: a product over the box
-        # would sum over other rows, in other blocks, with other bits
-        if params:
-            for o, rows in enumerate(km.out_rows):
-                if rows.shape[0]:
-                    weight_grad(o, np.take(grad_out, rows, axis=0))
-    else:
-        grad_features = np.zeros(t.features.shape, dtype)
-        _accumulate(grad_features, grad_out, km.out_rows, km.in_rows,
-                    weights.transpose(0, 2, 1), weight_grad if params else None)
-    grad_bias = grad_out.sum(axis=0) if params and w.bias is not None else None
+    # the forward's plan, transposed: offset o's W[o].T reads the cell -o away
+    grad_features = _run_plan(grad_out, km, w.weights.astype(dtype, copy=False).transpose(0, 2, 1),
+                              -km.offsets, km.out_rows, km.in_rows, km.num_in)
+    if not params:
+        return grad_features, None, None
+    # each offset's whole pair list on either plan: a box product sums other rows, other bits
+    grad_weights = np.stack([
+        np.take(t.features, src, axis=0).T @ np.take(grad_out, dst, axis=0)
+        for src, dst in zip(km.in_rows, km.out_rows)
+    ])
+    grad_bias = grad_out.sum(axis=0) if w.bias is not None else None
     return grad_features, grad_weights, grad_bias

@@ -64,6 +64,7 @@ terms in its order, plus zeros that leave the bits unchanged as above.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -124,13 +125,18 @@ def pack_keys(coords) -> np.ndarray:
     Raises BoundsError unless every coordinate packs.
     """
     arr = _as_coord_array(coords)
-    n_bad = int(arr.shape[0] - _in_bounds(arr).sum())
+    _check_bounds(arr)
+    return _pack_keys_unchecked(arr)
+
+
+def _check_bounds(coords: np.ndarray) -> None:
+    """Raise BoundsError unless every (N, 4) row, integer or float, packs."""
+    n_bad = int(coords.shape[0] - _in_bounds(coords).sum())
     if n_bad:
         raise BoundsError(
             f"{n_bad} coordinate(s) outside batch [0, {BATCH_BOUND}) / "
             f"spatial [-{COORD_BOUND}, {COORD_BOUND})"
         )
-    return _pack_keys_unchecked(arr)
 
 
 def probe_keys(dst_keys: np.ndarray, src_keys: np.ndarray, offset):
@@ -216,15 +222,15 @@ def dense_box(coords: np.ndarray, pad: int = 0) -> Optional[DenseBox]:
     return None if bounds is None else lay_out(coords, bounds, pad)
 
 
-def _tiles(n: int, rows: int = TILE_ROWS):
-    """Row slices of ``rows`` rows covering ``range(n)``.
+def _tiles(n: int):
+    """Row slices of ``TILE_ROWS`` rows covering ``range(n)``.
 
     A one-row tail joins the tile before it: numpy multiplies a one-row matrix
     on its vector path, whose bits differ from the matrix path's, so only a
     one-row input makes a one-row tile.
     """
-    bounds = list(range(0, n, rows))
-    if n > 1 and n % rows == 1:
+    bounds = list(range(0, n, TILE_ROWS))
+    if n > 1 and n % TILE_ROWS == 1:
         bounds.pop()
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [n])]
 
@@ -241,15 +247,12 @@ def _blocked_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
               out=out.reshape(-1, PRODUCT_ROWS, w.shape[1]))
 
 
-def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None,
-                on_gather=None):
+def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None):
     """``out[dst_rows[o]] += x[src_rows[o]] @ weights[o]`` for each list o in turn.
 
     ``weights=None`` adds the gathered rows themselves.  Each list takes one
     of the three paths in the module docstring, chosen by how many of
     ``out``'s rows it covers; ``dst_rows[o]`` holds no row twice.
-    ``on_gather(o, gathered)``, when given with ``weights``, also receives
-    each non-empty list's gathered ``x`` rows.
     """
     n_out, width = out.shape
     if out.size == 0:
@@ -268,8 +271,6 @@ def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None
         np.take(x, src, axis=0, out=(prod if weights is None else gathered)[:n], mode="clip")
         if weights is not None:
             gathered[n : _padded(n)] = 0
-            if on_gather is not None:
-                on_gather(o, gathered[:n])
             _blocked_matmul(gathered[: _padded(n)], weights[o], prod[: _padded(n)])
         if 2 * n < n_out:
             acc = np.take(out, dst, axis=0)
@@ -404,13 +405,8 @@ class SparseTensor:
             raise DimensionError(
                 f"features must be ({self.num_voxels}, C), got shape {feats.shape}"
             )
-        out = object.__new__(SparseTensor)
-        out.coords = self.coords
+        out = copy.copy(self)
         out.features = feats
-        out.keys = self.keys
-        out._order = self._order
-        out._sorted_keys = self._sorted_keys
-        out._maps = self._maps
         return out
 
     def __repr__(self) -> str:
@@ -459,12 +455,13 @@ def voxelize(cloud: PointCloud, voxel_size: float, dtype=np.float32) -> SparseTe
     """
     if voxel_size <= 0:
         raise ConfigError(f"voxel_size must be > 0, got {voxel_size}")
-    vox = np.floor(cloud.points / float(voxel_size)).astype(np.int64)
-    coords = np.concatenate(
-        [np.zeros((vox.shape[0], 1), dtype=np.int64), vox], axis=1
-    )
+    coords = np.zeros((cloud.num_points, 4))
+    # checked in float before the cast: past the float range a position divides to +-inf
+    with np.errstate(over="ignore"):
+        coords[:, 1:] = np.floor(cloud.points / float(voxel_size))
+    _check_bounds(coords)
     keys, inverse, counts = np.unique(
-        pack_keys(coords), return_inverse=True, return_counts=True
+        _pack_keys_unchecked(coords.astype(np.int64)), return_inverse=True, return_counts=True
     )
     attrs = cloud.attributes
     sums = np.empty((keys.shape[0], attrs.shape[1]), dtype=np.float64)

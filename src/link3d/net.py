@@ -56,22 +56,26 @@ class Module:
     def _children(self) -> list:
         return []
 
-    def named_parameters(self, prefix: str = ""):
-        for name, arr in self._params().items():
-            yield prefix + name, arr
+    def named_modules(self):
+        """``(dotted prefix, module)`` for this module and each one under it, pre-order."""
+        yield "", self
         for child_name, child in self._children():
-            yield from child.named_parameters(f"{prefix}{child_name}.")
+            for prefix, m in child.named_modules():
+                yield f"{child_name}.{prefix}", m
 
-    def named_grads(self, prefix: str = ""):
-        for name in self._params():
-            yield prefix + name, self.grads.get(name)
-        for child_name, child in self._children():
-            yield from child.named_grads(f"{prefix}{child_name}.")
+    def named_parameters(self):
+        for prefix, m in self.named_modules():
+            for name, arr in m._params().items():
+                yield prefix + name, arr
+
+    def named_grads(self):
+        for prefix, m in self.named_modules():
+            for name in m._params():
+                yield prefix + name, m.grads.get(name)
 
     def zero_grads(self):
-        self.grads = {}
-        for _, child in self._children():
-            child.zero_grads()
+        for _, m in self.named_modules():
+            m.grads = {}
 
     def _keep(self, grad: bool, **state):
         """Keep ``state`` as attributes for the backward pass when ``grad``;

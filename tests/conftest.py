@@ -33,9 +33,7 @@ def box_coords(shape, batches=1, corner=(0, 0, 0)):
 
 def modules(module):
     """``module`` and every module in the tree under it."""
-    yield module
-    for _, child in module._children():
-        yield from modules(child)
+    return [m for _, m in module.named_modules()]
 
 
 def kept_state(module):

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -371,3 +372,18 @@ class TestInputAndExitCodes:
         assert run(["erf", "--set", f"input={scan}"]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {scan}: ")
+
+    def test_out_of_range_positions_exit_without_warnings(self, tmp_path, capsys):
+        """A position no voxel key holds, in a scan or from a scene's extent,
+        is one error line: it is never cast to an integer, and a division
+        past the float range does not warn."""
+        scan = tmp_path / "scan.bin"
+        scan.write_bytes(np.array([(1e30, 0.0, 0.0, 1.0)], dtype="<f4").tobytes())
+        cases = [(["--set", f"input={scan}"], EXIT_IO),
+                 (["--set", "n_points=3", "--set", "extent=1e308"], EXIT_USAGE)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args, code in cases:
+                assert run(["erf", *args]) == code
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1 and "outside batch" in err
