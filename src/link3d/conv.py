@@ -7,7 +7,12 @@ coordinate set equals the input's, so sparsity never dilates.  Stride 2 with a
 
 Pair lists in the kernel map are sorted by (out_row, in_row) and offsets are
 iterated in a fixed lexicographic order, which pins the floating-point
-summation order and makes results bit-reproducible.
+summation order and makes results bit-reproducible.  The lists come from
+the set's one coordinate index, with the same pairs in the same order
+either way: a stride-1 map gathers from the set's row table
+(:class:`core.RowTable`) at each offset's flat shift, or without one probes
+the sorted keys once per offset; a stride-2 map calls ``SparseTensor.lookup``
+once per offset, which reads the same table or keys.
 
 Forward and the features' gradient run through one function,
 :func:`_run_plan`, on one of two plans, chosen from the coordinate set and
@@ -19,10 +24,10 @@ the weight shapes alone, with the same bits:
   exact ways the product is added;
 * the dense plan, for a stride-1 set that fills at least half of its
   (batch, x, y, z) bounding box: one pass of the library's dense-box
-  primitive, :func:`core._shift_sum`, on the set's box (:func:`core.dense_box`)
-  padded by ``K // 2`` planes after x, y and z.  Each offset is one product
-  per row tile, added in offset order.  The features' gradient negates the
-  offsets and uses ``W[o].T``.
+  primitive, :func:`core._shift_sum`, on the set's box padded by ``K // 2``
+  planes after x, y and z: the row table's layout, where the set has one.
+  Each offset is one product per row tile, added in offset order.  The
+  features' gradient negates the offsets and uses ``W[o].T``.
 
 Both plans multiply in ``core.PRODUCT_ROWS``-row blocks, so a row's product
 has the same bits on either.  The core module docstring shows why the dense
@@ -40,8 +45,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (DenseBox, SparseTensor, _accumulate, _shift_sum, coarsen, dense_box,
-                   probe_keys)
+from .core import (DENSE_CELLS, DenseBox, RowTable, SparseTensor, _accumulate, _shift_sum,
+                   coarsen, fills, lay_out, probe_keys)
 from .errors import ConfigError, DimensionError
 
 
@@ -90,8 +95,10 @@ class KernelMap:
         return int(sum(r.shape[0] for r in self.in_rows))
 
 
-def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray):
-    """Stride-1 pair lists from one key probe per offset after the centre.
+def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray, table: Optional[RowTable]):
+    """Stride-1 pair lists, one per offset after the centre: a gather from
+    the set's row ``table`` at the offset's flat shift, or without a table
+    one key probe.
 
     Offsets are in lexicographic order, so offset ``-o`` sits at the mirrored
     index and its pairs are offset ``o``'s with in and out swapped; the centre
@@ -99,22 +106,35 @@ def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray):
     """
     n = offsets.shape[0]
     keys, order = t._sorted_keys, t._order
-    # rows in key order: both halves of a probe come out sorted by out row
+    # rows in key order: the in rows of a list sorted by out row ascend too
     key_ordered = bool((order[1:] > order[:-1]).all())
     rows = np.arange(t.num_voxels, dtype=np.int64)
     # the centre keeps these identity pairs; the loop fills every other offset
     in_rows: List[np.ndarray] = [rows] * n
     out_rows: List[np.ndarray] = [rows] * n
+    if table is not None:
+        moved = np.empty_like(table.box.cells)
+        found = np.empty_like(moved)
     for o in range(n // 2 + 1, n):
-        dst, src = probe_keys(keys, keys, offsets[o])
+        if table is not None:
+            # every row in row order: the hits come out sorted by out row.
+            # Cells are in range (RowTable); "clip" fills out= unbuffered
+            np.add(table.box.cells, table.shift(offsets[o]), out=moved)
+            np.take(table.rows, moved, out=found, mode="clip")
+            dst = np.flatnonzero(found >= 0)
+            src = found[dst]
+        else:
+            dst, src = probe_keys(keys, keys, offsets[o])
+            if not key_ordered:
+                dst, src = order[dst], order[src]
+                by_dst = np.argsort(dst)
+                dst, src = dst[by_dst], src[by_dst]
+        out_rows[o], in_rows[o] = dst, src
         if key_ordered:
-            out_rows[o], in_rows[o] = dst, src
             out_rows[n - 1 - o], in_rows[n - 1 - o] = src, dst
-            continue
-        dst, src = order[dst], order[src]
-        by_dst, by_src = np.argsort(dst), np.argsort(src)
-        out_rows[o], in_rows[o] = dst[by_dst], src[by_dst]
-        out_rows[n - 1 - o], in_rows[n - 1 - o] = src[by_src], dst[by_src]
+        else:
+            by_src = np.argsort(src)
+            out_rows[n - 1 - o], in_rows[n - 1 - o] = src[by_src], dst[by_src]
     return in_rows, out_rows
 
 
@@ -122,9 +142,15 @@ def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> Kern
     """Enumerate the non-empty neighbor pairs for every output site."""
     offsets = kernel_offsets(kernel_size, stride)
     if stride == 1:
-        in_rows, out_rows = _submanifold_pairs(t, offsets)
+        pad = kernel_size // 2
+        table = t._table(pad)
+        in_rows, out_rows = _submanifold_pairs(t, offsets, table)
+        # the dense plan's box: the table's layout where the set has one
+        bounds, box = t._bounds(), None
+        if fills(bounds, t.num_voxels, DENSE_CELLS):
+            box = table.box if table is not None else lay_out(t.coords, bounds, pad)
         return KernelMap(kernel_size, stride, offsets, in_rows, out_rows,
-                         t.coords, t.num_voxels, box=dense_box(t.coords, kernel_size // 2))
+                         t.coords, t.num_voxels, box=box)
     # coarsen's sorted keys fix the output row order
     coarse, keys = coarsen(t.coords, 2)[:2]
     out = SparseTensor._from_sorted(coarse, keys, np.zeros((coarse.shape[0], 0), t.dtype))
@@ -133,10 +159,9 @@ def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> Kern
     in_rows = []
     out_rows = []
     all_out = np.arange(coarse.shape[0], dtype=np.int64)
+    probe = np.empty_like(query_base)
     for off in offsets:
-        probe = query_base.copy()
-        probe[:, 1:] += off
-        rows = t.lookup(probe)
+        rows = t.lookup(np.add(query_base, [0, *off], out=probe))
         hit = rows >= 0
         in_rows.append(rows[hit])
         out_rows.append(all_out[hit])

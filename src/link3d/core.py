@@ -6,7 +6,12 @@ packs injectively into one 64-bit key with the fixed layout
 ``batch-2^15 (16) | x+2^15 (16) | y+2^15 (16) | z+2^15 (16)``.  That bound
 covers roughly +-1638 m at a 0.05 m voxel size.  The batch field is the
 signed top of the signed key, so key order is lexicographic (batch, x, y, z)
-order for every packable coordinate.  Every coordinate search runs in this
+order for every packable coordinate.
+
+A coordinate set has one index.  A set whose box, padded for its kernel,
+has at most ``TABLE_CELLS`` cells per row holds a :class:`RowTable`, the
+row of every cell of the box: its stride-1 kernel maps are one gather per
+offset, and ``SparseTensor.lookup`` reads it.  Any other search runs in the
 key space, through :func:`probe_keys` and :func:`dilate_keys`.
 
 Coordinate sets are deduplicated and ordered by sorting their keys.  Equal
@@ -43,12 +48,12 @@ on how many rows the list or the box has, on a BLAS whose rows of a product of
 one shape do not depend on its other rows (as on OpenBLAS 0.3.31).
 
 Both callers have a dense plan too, for a set that fills at least half of
-its (batch, x, y, z) bounding box.  :func:`box_bounds` holds that one
-occupancy rule, :func:`lay_out` the box layout, and :func:`_shift_sum` is
-the one dense-box primitive: the rows go once into a zeroed flat C-order
-array of the box, padded by empty planes after x, y and z and with a zero
-margin of the largest shift at both ends, so that a move of at most the
-padding along each axis is one flat shift.  Each pass adds, in order, the
+its (batch, x, y, z) bounding box.  :func:`box_bounds` takes the box,
+:func:`fills` holds this rule and the row table's, :func:`lay_out` the box
+layout, and :func:`_shift_sum` is the one dense-box primitive: the rows go
+once into a zeroed flat C-order array of the box, padded by empty planes
+after x, y and z and with a zero margin of the largest shift at both ends,
+so that a move of at most the padding along each axis is one flat shift.  Each pass adds, in order, the
 cells its moves away (times ``W[o]``, or as they are) into a zeroed box, one
 row tile at a time, and one gather reads the rows out.  The convolution runs
 one pass of its kernel offsets; LinK's box sum runs three, along x, then y,
@@ -187,23 +192,38 @@ class DenseBox(NamedTuple):
     cells: np.ndarray    # the flat cell of each row
 
 
+DENSE_CELLS = 2   # box cells per row at most for the dense plans: the rows fill half the box
+TABLE_CELLS = 8   # padded box cells per row at most for a set's row table
+
+
 def box_bounds(coords: np.ndarray) -> Optional[tuple]:
     """``(first, extent)``, the first corner and the (batch, x, y, z) cell
-    counts of the (N, 4) ``coords``' bounding box; or None when the rows fill
-    less than half of it (the rule of :func:`_accumulate`'s path 2).
-
-    A set that is too sparse costs one min and one max over ``coords`` and
-    allocates nothing of its size.
-    """
-    n = coords.shape[0]
-    if n == 0:
+    counts of the (N, 4) ``coords``' bounding box, or None for no rows: one
+    min and one max over ``coords``."""
+    if coords.shape[0] == 0:
         return None
     first = coords.min(axis=0)
-    extent = [int(e) + 1 for e in coords.max(axis=0) - first]
+    return first, [int(e) + 1 for e in coords.max(axis=0) - first]
+
+
+def fills(bounds, n: int, cells: int, pad: int = 0) -> bool:
+    """Whether ``n`` rows have at most ``cells`` cells each of the box
+    ``bounds``, padded by ``pad`` empty planes after x, y and z.
+
+    The two occupancy rules of the library, each tested without allocating
+    anything of the box's size:
+
+    * ``DENSE_CELLS`` without padding: a set that fills at least half of its
+      box runs the dense plans, the conv's and LinK's block grid (the rule
+      of :func:`_accumulate`'s path 2);
+    * ``TABLE_CELLS`` with the padding of the kernel: a set gets a row table
+      (:class:`RowTable`), read instead of a key search.
+    """
+    if bounds is None:
+        return False
+    extent = bounds[1]
     # Python integers: two corner voxels span up to 2^64 cells
-    if 2 * n < math.prod(extent):
-        return None
-    return first, extent
+    return cells * n >= extent[0] * math.prod(e + pad for e in extent[1:])
 
 
 def lay_out(coords: np.ndarray, bounds, pad: int = 0) -> DenseBox:
@@ -215,11 +235,34 @@ def lay_out(coords: np.ndarray, bounds, pad: int = 0) -> DenseBox:
     return DenseBox(shape, np.ravel_multi_index((coords - first).T, shape))
 
 
-def dense_box(coords: np.ndarray, pad: int = 0) -> Optional[DenseBox]:
-    """:func:`lay_out` of ``coords`` when :func:`box_bounds` finds them
-    dense enough, else None."""
-    bounds = box_bounds(coords)
-    return None if bounds is None else lay_out(coords, bounds, pad)
+class RowTable(NamedTuple):
+    """A coordinate set's rows in a flat array of its box.
+
+    The box is laid out as :func:`_shift_sum` lays it out, padded by ``pad``
+    empty planes after x, y and z, but with no margin: a kernel offset after
+    the centre in lexicographic order, at most ``pad`` along each axis, is a
+    positive flat shift, and no cell of the set moves past the table's end.
+    Such a move reads the neighbour's row, or -1 where it is empty or outside
+    the box (a padding cell, as in :func:`_shift_sum`).
+    """
+
+    first: np.ndarray    # the box's first corner
+    pad: int
+    box: DenseBox        # the padded box, and the cell of each row
+    rows: np.ndarray     # the row at each cell, -1 where empty
+
+    def shift(self, move) -> int:
+        """The flat shift of an (x, y, z) ``move``."""
+        _, _, ny, nz = self.box.shape
+        return (int(move[0]) * ny + int(move[1])) * nz + int(move[2])
+
+
+def row_table(coords: np.ndarray, bounds, pad: int) -> RowTable:
+    """The :class:`RowTable` of ``coords`` in their ``box_bounds``."""
+    box = lay_out(coords, bounds, pad)
+    rows = np.full(math.prod(box.shape), -1, dtype=np.int64)
+    rows[box.cells] = np.arange(coords.shape[0])
+    return RowTable(bounds[0], pad, box, rows)
 
 
 def _tiles(n: int):
@@ -342,8 +385,9 @@ class SparseTensor:
     ``coords`` is (N, 4) int64 with unique rows, ``features`` is (N, C) float.
     Instances are treated as immutable after construction; operators return
     new tensors and never write into an input's arrays.  That is what lets
-    every tensor on one coordinate set share a cache of the kernel maps built
-    on it (``_maps``, keyed by ``(kernel_size, stride)``).
+    every tensor on one coordinate set share one cache, ``_maps``: the
+    kernel maps built on the set, keyed by ``(kernel_size, stride)``, and
+    its ``box_bounds`` and :class:`RowTable`, each built once.
     """
 
     __slots__ = ("coords", "features", "keys", "_order", "_sorted_keys", "_maps")
@@ -389,13 +433,49 @@ class SparseTensor:
     def dtype(self) -> np.dtype:
         return self.features.dtype
 
+    def _bounds(self) -> Optional[tuple]:
+        """The set's :func:`box_bounds`, computed once."""
+        if "bounds" not in self._maps:
+            self._maps["bounds"] = box_bounds(self.coords)
+        return self._maps["bounds"]
+
+    def _table(self, pad: int) -> Optional[RowTable]:
+        """The set's row table, padded by ``pad`` planes or more, built on
+        first use; None while the ``TABLE_CELLS`` rule (:func:`fills`) fails.
+
+        A set holds one table: a wider ``pad`` rebuilds it from the same
+        bounds."""
+        table = self._maps.get("table")
+        if table is None or table.pad < pad:
+            bounds = self._bounds()
+            if not fills(bounds, self.num_voxels, TABLE_CELLS, pad):
+                return None
+            table = self._maps["table"] = row_table(self.coords, bounds, pad)
+        return table
+
     def lookup(self, coords) -> np.ndarray:
-        """Vectorized coordinate -> row lookup; -1 where absent or out of bounds."""
+        """Vectorized coordinate -> row lookup; -1 where absent or out of bounds.
+
+        Reads the set's row table when it has one, after checking each axis
+        against the table's box; otherwise searches the sorted keys."""
         arr = _as_coord_array(coords)
-        ok = np.flatnonzero(_in_bounds(arr))
-        hit, pos = probe_keys(_pack_keys_unchecked(arr[ok]), self._sorted_keys, (0, 0, 0))
-        rows = np.full(arr.shape[0], -1, dtype=np.int64)
-        rows[ok[hit]] = self._order[pos]
+        table = self._maps.get("table")
+        if table is None:
+            rows = np.full(arr.shape[0], -1, dtype=np.int64)
+            ok = np.flatnonzero(_in_bounds(arr))
+            hit, pos = probe_keys(_pack_keys_unchecked(arr[ok]), self._sorted_keys, (0, 0, 0))
+            rows[ok[hit]] = self._order[pos]
+            return rows
+        inside = np.ones(arr.shape[0], dtype=bool)
+        cells = np.zeros(arr.shape[0], dtype=np.int64)
+        for col, lo, n in zip(arr.T, table.first.tolist(), table.box.shape):
+            # wraps only far outside the box: an unsigned compare checks both ends
+            d = col - lo
+            inside &= d.view(np.uint64) < n
+            cells *= n
+            cells += d
+        rows = table.rows.take(cells, mode="clip")
+        rows[~inside] = -1
         return rows
 
     def with_features(self, features) -> "SparseTensor":
@@ -445,6 +525,18 @@ class PointCloud:
         return self.points.shape[0]
 
 
+def _voxel_floor(points: np.ndarray, voxel_size: float) -> np.ndarray:
+    """The (N, 4) float coordinates, in batch 0, of each point's voxel:
+    ``floor(point / voxel_size)`` per axis, before any cast to integers."""
+    if voxel_size <= 0:
+        raise ConfigError(f"voxel_size must be > 0, got {voxel_size}")
+    coords = np.zeros((points.shape[0], 4))
+    # past the float range a position divides to +-inf, which no bound lets through
+    with np.errstate(over="ignore"):
+        coords[:, 1:] = np.floor(points / float(voxel_size))
+    return coords
+
+
 def voxelize(cloud: PointCloud, voxel_size: float, dtype=np.float32) -> SparseTensor:
     """Quantize a point cloud onto the integer voxel grid.
 
@@ -453,12 +545,8 @@ def voxelize(cloud: PointCloud, voxel_size: float, dtype=np.float32) -> SparseTe
     same voxel have their attribute vectors averaged.  Output voxels are
     sorted by packed key, which fixes a deterministic row order.
     """
-    if voxel_size <= 0:
-        raise ConfigError(f"voxel_size must be > 0, got {voxel_size}")
-    coords = np.zeros((cloud.num_points, 4))
-    # checked in float before the cast: past the float range a position divides to +-inf
-    with np.errstate(over="ignore"):
-        coords[:, 1:] = np.floor(cloud.points / float(voxel_size))
+    coords = _voxel_floor(cloud.points, voxel_size)
+    # checked in float before the cast
     _check_bounds(coords)
     keys, inverse, counts = np.unique(
         _pack_keys_unchecked(coords.astype(np.int64)), return_inverse=True, return_counts=True

@@ -7,7 +7,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import PointCloud, SparseTensor
+from .core import PointCloud, SparseTensor, _in_bounds, _voxel_floor
 from .errors import ConfigError, FileFormatError
 
 RECORD_BYTES = 16  # four little-endian float32 values: x, y, z, intensity
@@ -91,10 +91,14 @@ def gen_labeled_scene(seed: int, n_points: int, extent: float,
 def voxel_majority_labels(cloud: PointCloud, point_labels: np.ndarray,
                           voxel_size: float, t: SparseTensor,
                           num_classes: int) -> np.ndarray:
-    """Majority label of the points inside each voxel of ``t`` (ties: lowest id)."""
-    vox = np.floor(cloud.points / voxel_size).astype(np.int64)
-    coords = np.concatenate([np.zeros((vox.shape[0], 1), dtype=np.int64), vox], axis=1)
-    return majority_vote(t.lookup(coords), point_labels, t.num_voxels, num_classes)
+    """Majority label of the points inside each voxel of ``t`` (ties: lowest
+    id).  A point whose voxel does not pack into a key has no vote."""
+    coords = _voxel_floor(cloud.points, voxel_size)
+    # checked in float before the cast, as voxelize does
+    ok = np.flatnonzero(_in_bounds(coords))
+    rows = np.full(coords.shape[0], -1, dtype=np.int64)
+    rows[ok] = t.lookup(coords[ok].astype(np.int64))
+    return majority_vote(rows, point_labels, t.num_voxels, num_classes)
 
 
 def majority_vote(rows: np.ndarray, labels: np.ndarray, num_rows: int,

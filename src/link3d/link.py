@@ -83,6 +83,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .core import (
+    DENSE_CELLS,
     TILE_ROWS,
     DenseBox,
     SparseTensor,
@@ -92,6 +93,7 @@ from .core import (
     box_bounds,
     coarsen,
     dilate_keys,
+    fills,
     lay_out,
     probe_keys,
 )
@@ -384,14 +386,14 @@ def _key_plan(keys: np.ndarray, lo: int, hi: int) -> GatherSets:
 
 def _grid_plan(coords: np.ndarray, lo: int, hi: int) -> Optional[BlockGrid]:
     """The dense plan for the (M, 4) block ``coords`` in key order, or None
-    when :func:`core.box_bounds` finds them too sparse for it.
+    when :func:`core.fills` finds them too sparse for it.
 
     An offset of a whole extent or more along its axis reads no block, so it
     is dropped, and the box is padded by the longest offset kept.  Key order
     is coordinate order, so a block's cell rank in the box is its row.
     """
     bounds = box_bounds(coords)
-    if bounds is None:
+    if not fills(bounds, coords.shape[0], DENSE_CELLS):
         return None
     kept = [[d for d in range(lo, hi + 1) if abs(d) < e] for e in bounds[1][1:]]
     box = lay_out(coords, bounds, max(abs(d) for axis in kept for d in axis))

@@ -5,14 +5,17 @@ each layer.  A renamed callable, or a call path that bypasses one, drops that
 span's metrics from the traced result.  This runs each workload's small
 set-up scene under those wrappers: every wrapped name must exist, and every
 span on the workload's path must fire.  The forward-only workload must also
-leave its encoder without backward state.
+leave its encoder without backward state, and each workload's coordinate
+sets must hold a row table exactly where the table rule allows one.
 """
 
+import math
 from pathlib import Path
 
 import pytest
 
 from conftest import kept_state
+from link3d import core
 
 LINKBENCH = Path(__file__).resolve().parent.parent / "linkbench"
 
@@ -51,3 +54,24 @@ def test_inference_keeps_no_backward_state(linkbench, tmp_path):
     wl.build()
     wl.op(inputs)
     assert kept_state(wl.encoder) == set()
+
+
+def test_row_tables_where_the_rule_puts_them(linkbench, tmp_path):
+    """``encoder-seg``'s cube sets read row tables of at most ``TABLE_CELLS``
+    cells per voxel; ``scan-det``'s sweeps are too sparse for any."""
+    _, workloads = linkbench
+    seg = workloads.WORKLOADS["encoder-seg"](seed=0, out_dir=str(tmp_path))
+    seg.build()
+    stem = seg.op(seg.warm_inputs())[0]
+    for t in [stem] + [s.link_module.link._t for s in seg.encoder.stages]:
+        table = t._maps.get("table")
+        assert table is not None and table.pad == 1
+        assert table.rows.shape[0] == math.prod(table.box.shape)
+        assert table.rows.shape[0] <= core.TABLE_CELLS * t.num_voxels
+
+    det = workloads.WORKLOADS["scan-det"](seed=0, out_dir=str(tmp_path))
+    inputs = det.warm_inputs()
+    det.build()
+    x, stages, _ = det.op(inputs)
+    for t in [x, *stages]:
+        assert "bounds" in t._maps and "table" not in t._maps

@@ -21,6 +21,15 @@ from oracles import regroup_voxels
 BATCH_0 = -(2 ** 63)   # batch 0's top field, -2^15, as a signed key
 
 
+def dense_box(coords, pad=0):
+    """The dense plans' box of ``coords``, padded by ``pad``: their layout
+    when they fill at least half of their bounding box, else None."""
+    bounds = core.box_bounds(coords)
+    if not core.fills(bounds, coords.shape[0], core.DENSE_CELLS):
+        return None
+    return core.lay_out(coords, bounds, pad)
+
+
 class TestPackKey:
     def test_zero_coord(self):
         assert pack_keys((0, 0, 0, 0)).tolist() == [BATCH_0 + 0x8000_8000_8000]
@@ -249,7 +258,7 @@ class TestShiftSum:
         coords = self.scene(rng, name)
         passes = self.AXES if chained else [self.KERNEL]
         pad = max(abs(d) for moves in passes for move in moves for d in move)
-        box = core.dense_box(coords, pad)
+        box = dense_box(coords, pad)
         assert box is not None
         t = SparseTensor(coords, rng.normal(size=(coords.shape[0], 4)).astype(dtype))
         values = t.features.copy()
@@ -322,7 +331,7 @@ class TestDenseBox:
         keep = np.unique(keep)
         coords = coords[keep]
         assert 2 * coords.shape[0] >= 48
-        box = core.dense_box(coords, pad=1)
+        box = dense_box(coords, pad=1)
         assert box.shape == (2, 5, 4, 3)
         first = coords.min(axis=0)
         assert np.array_equal(box.cells, np.ravel_multi_index((coords - first).T, box.shape))
@@ -330,28 +339,28 @@ class TestDenseBox:
     def test_rows_in_key_order_have_ascending_cells(self, rng):
         coords = self.shifted_box(rng, (3, 4, 5), batches=2)
         coords = coords[np.argsort(pack_keys(coords))]
-        box = core.dense_box(coords, pad=2)
+        box = dense_box(coords, pad=2)
         assert (np.diff(box.cells) > 0).all()
 
     def test_below_half_is_none(self, rng):
         coords = self.shifted_box(rng, (4, 4, 4))
-        assert core.dense_box(coords[:32]) is not None
+        assert dense_box(coords[:32]) is not None
         corners = coords[[0, 63]]
-        assert core.dense_box(np.concatenate([corners, coords[1:31]])) is not None
-        assert core.dense_box(np.concatenate([corners, coords[1:30]])) is None
-        assert core.dense_box(np.zeros((0, 4), np.int64)) is None
+        assert dense_box(np.concatenate([corners, coords[1:31]])) is not None
+        assert dense_box(np.concatenate([corners, coords[1:30]])) is None
+        assert dense_box(np.zeros((0, 4), np.int64)) is None
 
     def test_far_corners_do_not_overflow(self):
         edge = core.COORD_BOUND
         coords = np.array([(0, -edge, -edge, -edge), (65535, edge - 1, edge - 1, edge - 1)])
-        assert core.dense_box(coords) is None
+        assert dense_box(coords) is None
 
     def test_sparse_set_allocates_nothing_of_its_size(self, rng):
         coords = rng.integers(-1000, 1000, size=(20000, 4))
         coords[:, 0] = 0
         tracemalloc.start()
         try:
-            assert core.dense_box(coords, pad=1) is None
+            assert dense_box(coords, pad=1) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

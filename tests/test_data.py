@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,17 @@ class TestVoxelLabels:
         assert ((counts == top).sum(axis=1) > 1).any()
         got = voxel_majority_labels(cloud, labels, 0.1, t, 3)
         np.testing.assert_array_equal(got, loop_majority(rows, labels, t.num_voxels, 3))
+
+    def test_unpackable_point_has_no_vote_and_no_warning(self):
+        # 1e30 / 0.05 floors to a float no int64 cast can hold
+        points = np.array([[0.01, 0.01, 0.01], [0.02, 0.01, 0.01], [0.31, 0.0, 0.0]])
+        labels = np.array([1, 1, 2, 3, 3])
+        t = voxelize(PointCloud(points, np.ones((3, 1))), 0.05)
+        far = np.concatenate([points, [[1e30, 0.0, 0.0], [0.0, -1e300, 0.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = voxel_majority_labels(PointCloud(far, np.ones((5, 1))), labels, 0.05, t, 4)
+        np.testing.assert_array_equal(got, [1, 2])
 
     def test_vote_skips_missing_rows_and_empty_rows(self):
         rows = np.array([-1, 2, 2, 0, -1, 2])
