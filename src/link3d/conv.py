@@ -9,10 +9,10 @@ Pair lists in the kernel map are sorted by (out_row, in_row) and offsets are
 iterated in a fixed lexicographic order, which pins the floating-point
 summation order and makes results bit-reproducible.  The lists come from
 the set's one coordinate index, with the same pairs in the same order
-either way: a stride-1 map gathers from the set's row table
-(:class:`core.RowTable`) at each offset's flat shift, or without one probes
-the sorted keys once per offset; a stride-2 map calls ``SparseTensor.lookup``
-once per offset, which reads the same table or keys.
+either way: a stride-1 map looks every row up, in row order, in the set's
+row table (:class:`core.RowTable`) at each offset's flat shift, or without
+one in the sorted keys; a stride-2 map calls ``SparseTensor.lookup`` once
+per offset, which reads the same table or keys.
 
 Forward and the features' gradient run through one function,
 :func:`_run_plan`, on one of two plans, chosen from the coordinate set and
@@ -20,7 +20,7 @@ the weight shapes alone, with the same bits:
 
 * the pair plan: one call of the library's gather-accumulate primitive,
   :func:`core._accumulate`, with the kernel weights: for each offset in turn,
-  ``out[dst] += x[src] @ W[o]``.  The core module docstring lists the three
+  ``out[dst] += x[src] @ W[o]``.  The core module docstring lists the two
   exact ways the product is added;
 * the dense plan, for a stride-1 set that fills at least half of its
   (batch, x, y, z) bounding box: one pass of the library's dense-box
@@ -98,14 +98,16 @@ class KernelMap:
 def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray, table: Optional[RowTable]):
     """Stride-1 pair lists, one per offset after the centre: a gather from
     the set's row ``table`` at the offset's flat shift, or without a table
-    one key probe.
+    one probe of the keys in row order.  Either way every row is looked up
+    in row order, so each list comes out sorted by out row.
 
     Offsets are in lexicographic order, so offset ``-o`` sits at the mirrored
-    index and its pairs are offset ``o``'s with in and out swapped; the centre
-    is the identity.  Each list is sorted by out row.
+    index and its pairs are offset ``o``'s with in and out swapped, sorted
+    again by out row unless the rows are in key order; the centre is the
+    identity.
     """
     n = offsets.shape[0]
-    keys, order = t._sorted_keys, t._order
+    order = t._order
     # rows in key order: the in rows of a list sorted by out row ascend too
     key_ordered = bool((order[1:] > order[:-1]).all())
     rows = np.arange(t.num_voxels, dtype=np.int64)
@@ -113,28 +115,24 @@ def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray, table: Optional[Row
     in_rows: List[np.ndarray] = [rows] * n
     out_rows: List[np.ndarray] = [rows] * n
     if table is not None:
+        shifts = table.box.shifts(offsets)
         moved = np.empty_like(table.box.cells)
         found = np.empty_like(moved)
     for o in range(n // 2 + 1, n):
         if table is not None:
-            # every row in row order: the hits come out sorted by out row.
-            # Cells are in range (RowTable); "clip" fills out= unbuffered
-            np.add(table.box.cells, table.shift(offsets[o]), out=moved)
+            # cells are in range (RowTable); "clip" fills out= unbuffered
+            np.add(table.box.cells, shifts[o], out=moved)
             np.take(table.rows, moved, out=found, mode="clip")
             dst = np.flatnonzero(found >= 0)
             src = found[dst]
         else:
-            dst, src = probe_keys(keys, keys, offsets[o])
-            if not key_ordered:
-                dst, src = order[dst], order[src]
-                by_dst = np.argsort(dst)
-                dst, src = dst[by_dst], src[by_dst]
+            dst, pos = probe_keys(t.keys, t._sorted_keys, offsets[o])
+            src = order[pos]
         out_rows[o], in_rows[o] = dst, src
-        if key_ordered:
-            out_rows[n - 1 - o], in_rows[n - 1 - o] = src, dst
-        else:
+        if not key_ordered:
             by_src = np.argsort(src)
-            out_rows[n - 1 - o], in_rows[n - 1 - o] = src[by_src], dst[by_src]
+            src, dst = src[by_src], dst[by_src]
+        out_rows[n - 1 - o], in_rows[n - 1 - o] = src, dst
     return in_rows, out_rows
 
 

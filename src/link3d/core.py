@@ -26,19 +26,10 @@ indexed output rows: for each index list o in turn,
 on its pair plan (forward and the features' gradient, one list per kernel
 offset) and each pass of LinK's separable box sum on its sorted-key plan (one
 list per block offset, with ``weights=None``: the gathered rows are added as
-they are).  How a list's rows are added depends on how many out rows it
-covers:
-
-1. all of them, in row order: ``out += prod``;
-2. at least half: every out row adds its product row, or an appended zero
-   row where the list misses it, with no scatter;
-3. fewer: the covered out rows are gathered, added to and scattered back as
-   whole rows.
-
-All three give the bits of ``out[dst] += prod`` with unique ``dst``.  Paths 1
-and 2 are exact because an accumulator that starts at +0.0 never holds
--0.0 (a float sum is -0.0 only if both terms are), and adding +0.0 to it
-leaves its bits unchanged.
+they are).  A list that covers every out row in row order adds its product
+rows with ``out += prod``; any other list gathers the out rows it covers,
+adds to them and scatters them back as whole rows.  Both give the bits of
+``out[dst] += prod`` with unique ``dst``.
 
 Every matrix product here is ``PRODUCT_ROWS`` rows times ``W[o]``: a list's
 gathered rows, or a tile of box cells, are zero-padded to whole blocks and go
@@ -53,18 +44,20 @@ its (batch, x, y, z) bounding box.  :func:`box_bounds` takes the box,
 layout, and :func:`_shift_sum` is the one dense-box primitive: the rows go
 once into a zeroed flat C-order array of the box, padded by empty planes
 after x, y and z and with a zero margin of the largest shift at both ends,
-so that a move of at most the padding along each axis is one flat shift.  Each pass adds, in order, the
-cells its moves away (times ``W[o]``, or as they are) into a zeroed box, one
-row tile at a time, and one gather reads the rows out.  The convolution runs
-one pass of its kernel offsets; LinK's box sum runs three, along x, then y,
-then z.
+so that a move of at most the padding along each axis is one flat shift
+(:meth:`DenseBox.shifts`).  Each pass adds, in order, the cells its moves
+away (times ``W[o]``, or as they are) into a zeroed box, one row tile at a
+time, and one gather reads the rows out.  The convolution runs one pass of
+its kernel offsets; LinK's box sum runs three, along x, then y, then z.
 
 A move past the set's box along an axis reads a cell that is padding along
 that axis and inside the box along every finer one.  It stays +0.0 until a
 pass moves along that axis: a move along a coarser axis keeps the finer
 coordinates, and one along a finer axis reads only other such cells.  So
 one pass of any moves, or passes along one axis each, add the pair plan's
-terms in its order, plus zeros that leave the bits unchanged as above.
+terms in its order, plus zeros.  Those leave the bits unchanged: a cell's
+sum starts at +0.0 and so never holds -0.0 (a float sum is -0.0 only if
+both terms are), and adding +0.0 to it changes nothing.
 """
 
 from __future__ import annotations
@@ -89,7 +82,18 @@ DENSE_TILE_ROWS = 8 * PRODUCT_ROWS  # box cells per tile of a dense-box pass
 
 
 def _as_coord_array(coords) -> np.ndarray:
-    arr = np.asarray(coords, dtype=np.int64)
+    """``coords`` as an (N, 4) int64 array.
+
+    Float input must hold integers (or +-inf); a value past the packable
+    range is clipped to one that is still past it, so it casts exactly and
+    fails the bounds like any other."""
+    arr = np.asarray(coords)
+    if arr.dtype.kind == "f":
+        # NaN fails the test too
+        if not (np.floor(arr) == arr).all():
+            raise DimensionError("coordinates must be integers")
+        arr = np.clip(arr, -KEY_FIELD, KEY_FIELD)
+    arr = arr.astype(np.int64, copy=False)
     if arr.ndim == 1 and arr.size == 4:
         arr = arr[None, :]
     if arr.ndim != 2 or (arr.size and arr.shape[1] != 4):
@@ -191,6 +195,11 @@ class DenseBox(NamedTuple):
     shape: tuple         # (batch, x, y, z) cells, spatial extents padded
     cells: np.ndarray    # the flat cell of each row
 
+    def shifts(self, moves) -> list:
+        """The flat shift of each (x, y, z) move of the (n, 3) ``moves``."""
+        _, _, ny, nz = self.shape
+        return (moves @ np.array([ny * nz, nz, 1])).tolist()
+
 
 DENSE_CELLS = 2   # box cells per row at most for the dense plans: the rows fill half the box
 TABLE_CELLS = 8   # padded box cells per row at most for a set's row table
@@ -214,8 +223,7 @@ def fills(bounds, n: int, cells: int, pad: int = 0) -> bool:
     anything of the box's size:
 
     * ``DENSE_CELLS`` without padding: a set that fills at least half of its
-      box runs the dense plans, the conv's and LinK's block grid (the rule
-      of :func:`_accumulate`'s path 2);
+      box runs the dense plans, the conv's and LinK's block grid;
     * ``TABLE_CELLS`` with the padding of the kernel: a set gets a row table
       (:class:`RowTable`), read instead of a key search.
     """
@@ -250,11 +258,6 @@ class RowTable(NamedTuple):
     pad: int
     box: DenseBox        # the padded box, and the cell of each row
     rows: np.ndarray     # the row at each cell, -1 where empty
-
-    def shift(self, move) -> int:
-        """The flat shift of an (x, y, z) ``move``."""
-        _, _, ny, nz = self.box.shape
-        return (int(move[0]) * ny + int(move[1])) * nz + int(move[2])
 
 
 def row_table(coords: np.ndarray, bounds, pad: int) -> RowTable:
@@ -294,16 +297,16 @@ def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None
     """``out[dst_rows[o]] += x[src_rows[o]] @ weights[o]`` for each list o in turn.
 
     ``weights=None`` adds the gathered rows themselves.  Each list takes one
-    of the three paths in the module docstring, chosen by how many of
-    ``out``'s rows it covers; ``dst_rows[o]`` holds no row twice.
+    of the two paths in the module docstring; ``dst_rows[o]`` holds no row
+    twice.
     """
     n_out, width = out.shape
     if out.size == 0:
         return
     # one void item per row: the scatter moves whole rows
     rows = out.view(np.dtype((np.void, out.dtype.itemsize * width)))[:, 0]
-    # one buffer for every list: its product rows lead, path 2 appends a zero row
-    size = _padded(max((d.shape[0] for d in dst_rows), default=0) + 1)
+    # one buffer for every list: its product rows lead
+    size = _padded(max((d.shape[0] for d in dst_rows), default=0))
     prod = np.empty((size, width), out.dtype)
     gathered = None if weights is None else np.empty((size, x.shape[1]), x.dtype)
     for o, (src, dst) in enumerate(zip(src_rows, dst_rows)):
@@ -315,18 +318,12 @@ def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None
         if weights is not None:
             gathered[n : _padded(n)] = 0
             _blocked_matmul(gathered[: _padded(n)], weights[o], prod[: _padded(n)])
-        if 2 * n < n_out:
+        if n == n_out and (dst[1:] > dst[:-1]).all():
+            out += prod[:n]
+        else:
             acc = np.take(out, dst, axis=0)
             acc += prod[:n]
             rows[dst] = acc.view(rows.dtype)[:, 0]
-        elif n == n_out and (dst[1:] > dst[:-1]).all():
-            out += prod[:n]
-        else:
-            # one zero row for the out rows the list misses
-            prod[n] = 0
-            index = np.full(n_out, n, dtype=np.int64)
-            index[dst] = np.arange(n)
-            out += np.take(prod, index, axis=0)
 
 
 def _shift_sum(values: np.ndarray, box: DenseBox, passes, weights=None) -> np.ndarray:
@@ -339,8 +336,7 @@ def _shift_sum(values: np.ndarray, box: DenseBox, passes, weights=None) -> np.nd
     which moves the box's padding allows.  The flat arrays run on to whole
     ``PRODUCT_ROWS`` blocks, whose cells past the box no pass writes.
     """
-    _, _, ny, nz = box.shape
-    shifts = [(moves @ np.array([ny * nz, nz, 1])).tolist() for moves in passes]
+    shifts = [box.shifts(moves) for moves in passes]
     size = math.prod(box.shape)
     margin = max(abs(s) for flat in shifts for s in flat)
     width = values.shape[1] if weights is None else weights.shape[2]
@@ -528,8 +524,8 @@ class PointCloud:
 def _voxel_floor(points: np.ndarray, voxel_size: float) -> np.ndarray:
     """The (N, 4) float coordinates, in batch 0, of each point's voxel:
     ``floor(point / voxel_size)`` per axis, before any cast to integers."""
-    if voxel_size <= 0:
-        raise ConfigError(f"voxel_size must be > 0, got {voxel_size}")
+    if not 0 < voxel_size < math.inf:   # NaN fails both
+        raise ConfigError(f"voxel_size must be finite and > 0, got {voxel_size}")
     coords = np.zeros((points.shape[0], 4))
     # past the float range a position divides to +-inf, which no bound lets through
     with np.errstate(over="ignore"):

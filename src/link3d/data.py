@@ -7,7 +7,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import PointCloud, SparseTensor, _in_bounds, _voxel_floor
+from .core import PointCloud, SparseTensor, _voxel_floor
 from .errors import ConfigError, FileFormatError
 
 RECORD_BYTES = 16  # four little-endian float32 values: x, y, z, intensity
@@ -93,11 +93,7 @@ def voxel_majority_labels(cloud: PointCloud, point_labels: np.ndarray,
                           num_classes: int) -> np.ndarray:
     """Majority label of the points inside each voxel of ``t`` (ties: lowest
     id).  A point whose voxel does not pack into a key has no vote."""
-    coords = _voxel_floor(cloud.points, voxel_size)
-    # checked in float before the cast, as voxelize does
-    ok = np.flatnonzero(_in_bounds(coords))
-    rows = np.full(coords.shape[0], -1, dtype=np.int64)
-    rows[ok] = t.lookup(coords[ok].astype(np.int64))
+    rows = t.lookup(_voxel_floor(cloud.points, voxel_size))
     return majority_vote(rows, point_labels, t.num_voxels, num_classes)
 
 

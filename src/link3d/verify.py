@@ -53,13 +53,14 @@ class SuiteResult:
 
 
 def random_scene(rng, n_voxels: int, extent: int, channels: int,
-                 dtype=np.float64) -> SparseTensor:
-    """Random duplicate-free voxel scene inside a centered cube."""
-    lo, hi = -extent // 2, extent - extent // 2
+                 dtype=np.float64, batches: int = 1) -> SparseTensor:
+    """Random duplicate-free voxel scene in a centered cube of edge ``extent``,
+    in ``batches`` batches."""
+    lo = -(extent // 2)
     coords = np.concatenate(
         [
-            np.zeros((n_voxels, 1), dtype=np.int64),
-            rng.integers(lo, hi, size=(n_voxels, 3)),
+            rng.integers(0, batches, size=(n_voxels, 1)),
+            rng.integers(lo, lo + extent, size=(n_voxels, 3)),
         ],
         axis=1,
     )

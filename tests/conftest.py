@@ -4,24 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from link3d import SparseTensor
-
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
-
-
-def make_scene(rng, n_voxels, extent, channels, dtype=np.float64, batches=1):
-    """Random duplicate-free voxel scene in a centered cube of edge `extent`."""
-    lo = -(extent // 2)
-    coords = np.concatenate(
-        [
-            rng.integers(0, batches, size=(n_voxels, 1)),
-            rng.integers(lo, lo + extent, size=(n_voxels, 3)),
-        ],
-        axis=1,
-    )
-    coords = np.unique(coords, axis=0)
-    feats = rng.normal(0.0, 1.0, size=(coords.shape[0], channels)).astype(dtype)
-    return SparseTensor(coords, feats)
 
 
 def box_coords(shape, batches=1, corner=(0, 0, 0)):

@@ -16,6 +16,19 @@ def compare_sampled(fd, analytic):
     return relative_error(fd[mask], np.asarray(analytic)[mask])
 
 
+PRODUCT_ROWS = 256
+
+
+def blocked_product(a, weights):
+    """``a @ weights`` as the library's product contract states it: the rows,
+    zero-padded to a multiple of 256, multiplied 256 rows at a time."""
+    blocks = -(-a.shape[0] // PRODUCT_ROWS)
+    padded = np.zeros((blocks * PRODUCT_ROWS, a.shape[1]), a.dtype)
+    padded[: a.shape[0]] = a
+    prods = [padded[i * PRODUCT_ROWS : (i + 1) * PRODUCT_ROWS] @ weights for i in range(blocks)]
+    return np.concatenate(prods)[: a.shape[0]]
+
+
 def dense_conv_oracle(coords, feats, weights, bias, kernel_size, stride=1):
     """Convolve on a zero-padded dense grid, evaluated per output site.
 

@@ -38,8 +38,7 @@ from link3d import (
 from link3d.cli import main as cli_main
 from link3d.data import gen_synthetic_scene
 from link3d.net import EncoderConfig
-from link3d.verify import finite_difference, suite_gradient
-from conftest import make_scene
+from link3d.verify import finite_difference, random_scene, suite_gradient
 from oracles import compare_sampled, dense_conv_oracle
 
 GRID = [(s, r, c) for s in (1, 3, 7) for r in (1, 2, 3) for c in (1, 4, 32)]
@@ -58,7 +57,7 @@ def decomposition_sweep(mode, dtype, max_voxels=1900):
     worst = 0.0
     for i, (s, r, channels) in enumerate(GRID):
         rng = np.random.default_rng(1000 + i)
-        t = make_scene(rng, max_voxels, scene_extent(s, r), channels, dtype)
+        t = random_scene(rng, max_voxels, scene_extent(s, r), channels, dtype)
         assert t.num_voxels <= 2000
         groups = 2 if channels % 2 == 0 else 1
         gen = KernelGenerator.create(channels, groups, mode, s * r, rng)
@@ -216,7 +215,7 @@ class TestGradientSuites:
         worst = 0.0
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
-            t = make_scene(rng, 60, 10, 1)
+            t = random_scene(rng, 60, 10, 1)
             assert t.num_voxels <= 100
             cfg = EncoderConfig(
                 in_channels=1, stem_channels=3, stage_channels=(3, 3, 3, 3),
@@ -257,7 +256,7 @@ class TestSparseConvOracle:
         worst = 0.0
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            t = make_scene(rng, 150, 8, 3, dtype=np.float32)
+            t = random_scene(rng, 150, 8, 3, dtype=np.float32)
             w = ConvWeights.random(3, 3, 4, rng)
             out = sparse_conv_forward(t, w, build_kernel_map(t, 3, 1))
             expected = dense_conv_oracle(
@@ -327,7 +326,7 @@ class TestInvariances:
         # block translation, bit-identical in deterministic mode
         translation_ok = True
         for s, r in [(3, 2), (7, 3)]:
-            t = make_scene(rng, 400, 16, 4)
+            t = random_scene(rng, 400, 16, 4)
             cfg = LinKConfig(s, r, KernelGenerator.create(4, 2, "pure", s * r, rng))
             shift = rng.integers(1, 6, size=3) * rng.choice([-1, 1], size=3) * s
             moved = t.coords.copy()
@@ -337,7 +336,7 @@ class TestInvariances:
             translation_ok &= np.array_equal(out1.features, out2.features)
 
         # submanifold coordinate preservation through stride-1 ops and stages
-        t = make_scene(rng, 300, 16, 4)
+        t = random_scene(rng, 300, 16, 4)
         w = ConvWeights.random(3, 4, 4, rng)
         conv_out = sparse_conv_forward(t, w, build_kernel_map(t, 3, 1))
         cfg = LinKConfig(3, 2, KernelGenerator.create(4, 2, "pure", 6, rng))

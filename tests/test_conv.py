@@ -16,9 +16,9 @@ from link3d import (
 )
 from link3d.layers import LayerNormParams, layer_norm_forward
 from link3d.net import ResidualBlock
-from link3d.verify import finite_difference, relative_error
-from conftest import box_coords, make_scene
-from oracles import dense_conv_oracle
+from link3d.verify import finite_difference, random_scene, relative_error
+from conftest import box_coords
+from oracles import blocked_product, dense_conv_oracle
 
 
 def offset_index(km, offset):
@@ -44,7 +44,7 @@ class TestKernelMap:
         assert km.pair_count() == 7
 
     def test_pairs_satisfy_offset_relation(self, rng):
-        t = make_scene(rng, 200, 8, 1)
+        t = random_scene(rng, 200, 8, 1)
         km = build_kernel_map(t, 3, 1)
         for o, off in enumerate(km.offsets):
             for ir, orow in zip(km.in_rows[o], km.out_rows[o]):
@@ -54,14 +54,14 @@ class TestKernelMap:
                 assert t.coords[ir, 0] == km.out_coords[orow, 0]
 
     def test_submanifold_out_coords_equal_input(self, rng):
-        t = make_scene(rng, 100, 10, 1)
+        t = random_scene(rng, 100, 10, 1)
         km = build_kernel_map(t, 3, 1)
         assert km.out_coords is t.coords
 
     @pytest.mark.parametrize("kernel", [1, 3, 5])
     def test_row_permutation_permutes_the_map(self, rng, kernel):
         # pairs stay sorted by out row, which fixes grad_weights' summation order
-        t = make_scene(rng, 300, 8, 1, batches=2)
+        t = random_scene(rng, 300, 8, 1, batches=2)
         perm = rng.permutation(t.num_voxels)
         row_of = np.argsort(perm)        # row in t -> row in the permuted tensor
         km = build_kernel_map(t, kernel, 1)
@@ -73,7 +73,7 @@ class TestKernelMap:
             assert np.array_equal(kp.in_rows[o], row_of[km.in_rows[o]][by_out])
 
     def test_row_permutation_keeps_the_downsample_outputs(self, rng):
-        t = make_scene(rng, 300, 8, 1, batches=2)
+        t = random_scene(rng, 300, 8, 1, batches=2)
         perm = rng.permutation(t.num_voxels)
         km = build_kernel_map(t, 2, 2)
         kp = build_kernel_map(SparseTensor(t.coords[perm], t.features[perm]), 2, 2)
@@ -116,20 +116,20 @@ class TestKernelMap:
 
 class TestForward:
     def test_identity_center_kernel(self, rng):
-        t = make_scene(rng, 60, 6, 3)
+        t = random_scene(rng, 60, 6, 3)
         w = ConvWeights(np.zeros((27, 3, 3)))
         w.weights[13] = np.eye(3)
         out = sparse_conv_forward(t, w, build_kernel_map(t, 3, 1))
         np.testing.assert_array_equal(out.features, t.features)
 
     def test_zero_weights(self, rng):
-        t = make_scene(rng, 60, 6, 3)
+        t = random_scene(rng, 60, 6, 3)
         w = ConvWeights(np.zeros((27, 3, 5)), np.zeros(5))
         out = sparse_conv_forward(t, w, build_kernel_map(t, 3, 1))
         assert (out.features == 0).all()
 
     def test_pointwise_degenerates_to_matmul(self, rng):
-        t = make_scene(rng, 50, 6, 4)
+        t = random_scene(rng, 50, 6, 4)
         w = ConvWeights.random(1, 4, 3, rng)
         out = sparse_conv_forward(t, w, build_kernel_map(t, 1, 1))
         np.testing.assert_allclose(
@@ -139,7 +139,7 @@ class TestForward:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dense_oracle_float64(self, seed):
         rng = np.random.default_rng(seed)
-        t = make_scene(rng, 200, 8, 3)
+        t = random_scene(rng, 200, 8, 3)
         w = ConvWeights.random(3, 3, 4, rng)
         out = sparse_conv_forward(t, w, build_kernel_map(t, 3, 1))
         expected = dense_conv_oracle(t.coords, t.features, w.weights, w.bias, 3)
@@ -149,7 +149,7 @@ class TestForward:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_dense_oracle_float32(self, seed):
         rng = np.random.default_rng(seed)
-        t = make_scene(rng, 120, 6, 3, dtype=np.float32)
+        t = random_scene(rng, 120, 6, 3, dtype=np.float32)
         w = ConvWeights.random(3, 3, 4, rng)
         out = sparse_conv_forward(t, w, build_kernel_map(t, 3, 1))
         expected = dense_conv_oracle(
@@ -164,7 +164,7 @@ class TestForward:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_downsample_matches_dense_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        t = make_scene(rng, 80, 6, 2)
+        t = random_scene(rng, 80, 6, 2)
         w = ConvWeights.random(2, 2, 3, rng, stride=2)
         km = build_kernel_map(t, 2, 2)
         out = sparse_conv_forward(t, w, km)
@@ -174,7 +174,7 @@ class TestForward:
             np.testing.assert_allclose(f, expected[tuple(c)], atol=1e-12)
 
     def test_deterministic_repeat(self, rng):
-        t = make_scene(rng, 150, 8, 4, dtype=np.float32)
+        t = random_scene(rng, 150, 8, 4, dtype=np.float32)
         w = ConvWeights.random(3, 4, 4, rng)
         km = build_kernel_map(t, 3, 1)
         a = sparse_conv_forward(t, w, km).features
@@ -182,7 +182,7 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_channel_mismatch(self, rng):
-        t = make_scene(rng, 10, 4, 3)
+        t = random_scene(rng, 10, 4, 3)
         w = ConvWeights.random(3, 4, 4, rng)
         with pytest.raises(ValueError):
             sparse_conv_forward(t, w, build_kernel_map(t, 3, 1))
@@ -196,14 +196,14 @@ class TestForward:
 
 class TestBackward:
     def test_zero_grad(self, rng):
-        t = make_scene(rng, 40, 6, 3)
+        t = random_scene(rng, 40, 6, 3)
         w = ConvWeights.random(3, 3, 2, rng)
         km = build_kernel_map(t, 3, 1)
         gf, gw, gb = sparse_conv_backward(np.zeros((km.num_out, 2)), t, w, km)
         assert (gf == 0).all() and (gw == 0).all() and (gb == 0).all()
 
     def test_linearity_in_grad(self, rng):
-        t = make_scene(rng, 40, 6, 3)
+        t = random_scene(rng, 40, 6, 3)
         w = ConvWeights.random(3, 3, 2, rng)
         km = build_kernel_map(t, 3, 1)
         g = rng.normal(size=(km.num_out, 2))
@@ -216,7 +216,7 @@ class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        t = make_scene(rng, 30, 5, 3)
+        t = random_scene(rng, 30, 5, 3)
         w = ConvWeights.random(3, 3, 2, rng)
         km = build_kernel_map(t, 3, 1)
         probe = rng.normal(size=(km.num_out, 2))
@@ -232,7 +232,7 @@ class TestBackward:
     @pytest.mark.parametrize("seed", [5])
     def test_downsample_backward_fd(self, seed):
         rng = np.random.default_rng(seed)
-        t = make_scene(rng, 30, 6, 2)
+        t = random_scene(rng, 30, 6, 2)
         w = ConvWeights.random(2, 2, 3, rng, stride=2)
         km = build_kernel_map(t, 2, 2)
         probe = rng.normal(size=(km.num_out, 3))
@@ -245,24 +245,11 @@ class TestBackward:
         assert relative_error(finite_difference(loss, w.weights), gw) <= 1e-4
 
     def test_grad_shape_mismatch(self, rng):
-        t = make_scene(rng, 20, 5, 3)
+        t = random_scene(rng, 20, 5, 3)
         w = ConvWeights.random(3, 3, 2, rng)
         km = build_kernel_map(t, 3, 1)
         with pytest.raises(ValueError):
             sparse_conv_backward(np.zeros((km.num_out, 5)), t, w, km)
-
-
-PRODUCT_ROWS = 256
-
-
-def blocked_product(a, weights):
-    """``a @ weights`` as the conv's product contract states it: the rows,
-    zero-padded to a multiple of 256, multiplied 256 rows at a time."""
-    blocks = -(-a.shape[0] // PRODUCT_ROWS)
-    padded = np.zeros((blocks * PRODUCT_ROWS, a.shape[1]), a.dtype)
-    padded[: a.shape[0]] = a
-    prods = [padded[i * PRODUCT_ROWS : (i + 1) * PRODUCT_ROWS] @ weights for i in range(blocks)]
-    return np.concatenate(prods)[: a.shape[0]]
 
 
 def reference_conv(t, w, km, grad_out):
@@ -298,24 +285,26 @@ def permuted(t, rng):
     return SparseTensor(t.coords[perm], t.features[perm])
 
 
-# Scenes chosen so that every accumulation path runs: a filled 6^3 block
+# Scenes chosen so that lists of every coverage run: a filled 6^3 block
 # covers at least half of the rows at every stride-1 offset (it runs on the
 # dense plan, which TestDensePlan compares with the pair plan); a sparse
 # two-batch scene covers fewer than half at every offset but the centre; an
 # even-coordinate block at stride 2 covers every fine row from one offset,
-# in a row order the permutation scrambles.
+# in a row order the permutation scrambles, so both of the primitive's
+# paths run: the in-place add and the gather, add and scatter.
 SCENES = {
     "block": lambda c, dt, rng: filled_block(6, c, dt, rng),
-    "sparse": lambda c, dt, rng: make_scene(rng, 300, 8, c, dt, batches=2),
+    "sparse": lambda c, dt, rng: random_scene(rng, 300, 8, c, dt, batches=2),
     "permuted-block": lambda c, dt, rng: permuted(filled_block(6, c, dt, rng), rng),
-    "permuted-sparse": lambda c, dt, rng: permuted(make_scene(rng, 300, 8, c, dt, batches=2), rng),
+    "permuted-sparse":
+        lambda c, dt, rng: permuted(random_scene(rng, 300, 8, c, dt, batches=2), rng),
     "permuted-even-block": lambda c, dt, rng: permuted(filled_block(3, c, dt, rng, step=2), rng),
 }
 
 
 class TestSharedPrimitive:
-    """Forward and backward are byte-equal to the per-offset formula on every
-    accumulation path: all rows covered, at least half, and fewer."""
+    """Forward and backward are byte-equal to the per-offset formula on lists
+    that cover all rows, at least half of them, and fewer."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c_in,c_out", [(3, 4), (1, 4), (4, 1), (16, 2), (32, 2)])
@@ -362,7 +351,7 @@ class TestSharedPrimitive:
 
     def test_float64_grad_out_on_float32_tensor(self, rng):
         # grad_out is rounded to the tensor's dtype once, on entry
-        t = make_scene(rng, 200, 8, 3, np.float32)
+        t = random_scene(rng, 200, 8, 3, np.float32)
         w = ConvWeights.random(3, 3, 4, rng, dtype=np.float32)
         km = build_kernel_map(t, 3, 1)
         g64 = rng.normal(size=(km.num_out, 4))
@@ -395,7 +384,7 @@ DENSE_SCENES = {
     "two-batches": (lambda c, dt, rng: permuted(box_scene((5, 5, 5), 2, c, dt, rng), rng), True),
     "cube-2": (lambda c, dt, rng: box_scene((2, 2, 2), 1, c, dt, rng), True),
     "half": (half_scene, True),
-    "sparse": (lambda c, dt, rng: make_scene(rng, 300, 8, c, dt, batches=2), False),
+    "sparse": (lambda c, dt, rng: random_scene(rng, 300, 8, c, dt, batches=2), False),
 }
 
 
@@ -483,7 +472,7 @@ class TestRowsIndependentOfTheSet:
 class TestResidualBlock:
     def test_zero_weights_is_relu(self, rng):
         # zero convs and zero norm scale/shift leave only the skip
-        t = make_scene(rng, 40, 6, 3)
+        t = random_scene(rng, 40, 6, 3)
         block = ResidualBlock(3, rng)
         for _, arr in block.named_parameters():
             arr[...] = 0.0
@@ -508,11 +497,11 @@ class TestResidualBlock:
         )
 
     def test_coords_preserved(self, rng):
-        t = make_scene(rng, 80, 8, 4)
+        t = random_scene(rng, 80, 8, 4)
         out = ResidualBlock(4, rng).forward(t)
         assert out.coords is t.coords
 
     def test_channel_mismatch(self, rng):
-        t = make_scene(rng, 20, 6, 3)
+        t = random_scene(rng, 20, 6, 3)
         with pytest.raises(ValueError):
             ResidualBlock(5, rng).forward(t)

@@ -7,6 +7,7 @@ import pytest
 from link3d import (
     BoundsError,
     ConfigError,
+    DimensionError,
     DuplicateCoordError,
     PointCloud,
     SparseTensor,
@@ -15,7 +16,7 @@ from link3d import (
     voxelize,
 )
 from conftest import box_coords
-from oracles import regroup_voxels
+from oracles import blocked_product, regroup_voxels
 
 
 BATCH_0 = -(2 ** 63)   # batch 0's top field, -2^15, as a signed key
@@ -83,13 +84,30 @@ class TestPackKey:
         ])
         assert np.array_equal(core._unpack_keys(pack_keys(coords)), coords)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "coord",
-        [(0, 2 ** 15, 0, 0), (0, 0, -(2 ** 15) - 1, 0), (-1, 0, 0, 0), (2 ** 16, 0, 0, 0)],
+        [(0, 2 ** 15, 0, 0), (0, 0, -(2 ** 15) - 1, 0), (-1, 0, 0, 0), (2 ** 16, 0, 0, 0),
+         (0, 1e30, 0, 0), (0, 0, -np.inf, 0), (np.inf, 0, 0, 0), (0, 0, 0, 2.0 ** 15)],
     )
     def test_out_of_bounds(self, coord):
         with pytest.raises(BoundsError):
             pack_keys(coord)
+        with pytest.raises(BoundsError):
+            SparseTensor([coord], np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("coord", [(0, 1.7, 0, 0), (0, 0, np.nan, 0), (0.5, 0, 0, 0)])
+    def test_fractional_or_nan_rejected(self, coord):
+        with pytest.raises(DimensionError):
+            pack_keys([coord])
+        with pytest.raises(DimensionError):
+            SparseTensor([coord], np.zeros((1, 1)))
+
+    def test_integral_floats_pack_as_integers(self):
+        coords = [(1, -3, 0, 2 ** 15 - 1), (0, -(2 ** 15), 7, 0)]
+        assert pack_keys(np.array(coords, float)).tolist() == pack_keys(coords).tolist()
+        t = SparseTensor(np.array(coords, np.float32), np.zeros((2, 1)))
+        assert t.coords.dtype == np.int64 and t.coords.tolist() == [list(c) for c in coords]
 
     def test_injective_on_million_random_coords(self, rng):
         coords = np.stack(
@@ -140,6 +158,21 @@ class TestCoordIndex:
                 misses.append(c)
         assert (t.lookup(misses) == -1).all()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("table", [False, True])
+    def test_float_probes(self, table):
+        # on the row table and on the sorted keys alike
+        t = SparseTensor(box_coords((3, 3, 3), corner=(-1, -1, -1)), np.zeros((27, 1)))
+        if table:
+            t._table(1)
+        assert ("table" in t._maps) == table
+        probes = [(0, 1.0, -1.0, 0.0), (0, 5.0, 0, 0), (0, 1e30, 0, 0),
+                  (0, 0, -np.inf, 0), (np.inf, 0, 0, 0), (-1.0, 0, 0, 0)]
+        assert t.lookup(np.array(probes)).tolist() == [19, -1, -1, -1, -1, -1]
+        for bad in ((0, 1.9, 0, 0), (0, np.nan, 0, 0)):
+            with pytest.raises(DimensionError):
+                t.lookup([bad])
+
     def test_identity_permutation(self, rng):
         coords = np.unique(rng.integers(-40, 40, size=(500, 4)), axis=0)
         coords[:, 0] = np.abs(coords[:, 0])
@@ -181,8 +214,8 @@ class TestSparseTensor:
 class TestAccumulate:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_unweighted_paths_match_fancy_add(self, dtype, rng):
-        # lists covering every row in order (path 1), every row out of
-        # order and most rows (path 2), and few rows (path 3)
+        # lists covering every row in order (added in place), and every row
+        # out of order, most rows and few rows (gathered, added and scattered)
         n_out, n_x = 40, 60
         lists = [np.arange(n_out), rng.permutation(n_out),
                  np.sort(rng.choice(n_out, 30, replace=False)),
@@ -195,6 +228,26 @@ class TestAccumulate:
         expected = np.zeros((n_out, 3), dtype)
         for src, dst in zip(src_rows, dst_rows):
             expected[dst] += x[src]
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [1, 16])
+    def test_weighted_matches_per_list_product(self, channels, dtype, rng):
+        # every row in order and out of order, about 90%, 50% and 5% of the
+        # rows, and none; 300 rows take two product blocks
+        n_out, n_x = 300, 400
+        dst_rows = [np.arange(n_out), rng.permutation(n_out),
+                    *(np.sort(rng.choice(n_out, k, replace=False)) for k in (270, 150, 15)),
+                    np.zeros(0, np.int64)]
+        src_rows = [rng.integers(0, n_x, d.shape[0]) for d in dst_rows]
+        x = rng.normal(size=(n_x, channels)).astype(dtype)
+        weights = rng.normal(size=(len(dst_rows), channels, channels)).astype(dtype)
+        out = np.zeros((n_out, channels), dtype)
+        core._accumulate(out, x, src_rows, dst_rows, weights)
+        expected = np.zeros((n_out, channels), dtype)
+        for o, (src, dst) in enumerate(zip(src_rows, dst_rows)):
+            if dst.shape[0]:
+                expected[dst] += blocked_product(x[src], weights[o])
         assert out.tobytes() == expected.tobytes()
 
     def test_empty_out_is_left_alone(self):
@@ -452,8 +505,9 @@ class TestVoxelize:
             voxelize(PointCloud(np.array([[1700.0, 0, 0]]), np.ones((1, 1))), 0.05)
 
     def test_invalid_voxel_size(self):
-        with pytest.raises(ConfigError):
-            voxelize(PointCloud(np.array([[0.0, 0, 0]]), np.ones((1, 1))), 0.0)
+        for size in (0.0, np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                voxelize(PointCloud(np.array([[0.0, 0, 0]]), np.ones((1, 1))), size)
 
     def test_rows_sorted_by_key(self, rng):
         points = rng.uniform(-1, 1, size=(300, 3))

@@ -131,6 +131,13 @@ class TestVoxelLabels:
             got = voxel_majority_labels(PointCloud(far, np.ones((5, 1))), labels, 0.05, t, 4)
         np.testing.assert_array_equal(got, [1, 2])
 
+    @pytest.mark.parametrize("size", [0.0, np.inf, np.nan])
+    def test_invalid_voxel_size(self, size):
+        cloud = PointCloud(np.array([[0.01, 0.01, 0.01]]), np.ones((1, 1)))
+        t = voxelize(cloud, 0.05)
+        with pytest.raises(ConfigError):
+            voxel_majority_labels(cloud, np.array([1]), size, t, 2)
+
     def test_vote_skips_missing_rows_and_empty_rows(self):
         rows = np.array([-1, 2, 2, 0, -1, 2])
         labels = np.array([3, 1, 2, 2, 3, 2])

@@ -17,8 +17,8 @@ from link3d import (
     partition_blocks,
     push_proxies,
 )
-from link3d.verify import finite_difference, relative_error
-from conftest import box_coords, make_scene
+from link3d.verify import finite_difference, random_scene, relative_error
+from conftest import box_coords
 from oracles import block_regroup, neighbor_window, neighborhood_rows
 
 
@@ -112,13 +112,13 @@ class TestPartition:
         assert tuple(part.block_coords[0]) == (0, 2, 0, -1)
 
     def test_block_size_one_is_per_voxel(self, rng):
-        t = make_scene(rng, 100, 10, 1)
+        t = random_scene(rng, 100, 10, 1)
         part = partition_blocks(t, 1)
         assert part.num_blocks == t.num_voxels
         assert (part.populations == 1).all()
 
     def test_random_against_regroup_oracle(self, rng):
-        t = make_scene(rng, 500, 20, 1, batches=2)
+        t = random_scene(rng, 500, 20, 1, batches=2)
         part = partition_blocks(t, 4)
         expected = block_regroup(t.coords, 4)
         assert part.num_blocks == len(expected)
@@ -134,7 +134,7 @@ class TestPartition:
 
     def test_bad_block_size(self, rng):
         with pytest.raises(ConfigError):
-            partition_blocks(make_scene(rng, 5, 4, 1), 0)
+            partition_blocks(random_scene(rng, 5, 4, 1), 0)
 
 
 class TestNeighborWindow:
@@ -171,7 +171,7 @@ class TestPushGatherPull:
         np.testing.assert_allclose(proxies[0, :1], expected, atol=1e-15)
 
     def test_push_matches_per_block_loop(self, rng):
-        t = make_scene(rng, 300, 16, 3)
+        t = random_scene(rng, 300, 16, 3)
         gen = make_generator(rng, 3, s=4)
         part = partition_blocks(t, 4)
         k_cos, k_sin = generate_kernel(gen, anchored_xyz(t))
@@ -187,7 +187,7 @@ class TestPushGatherPull:
             )
 
     def test_gather_r1_is_own_proxy(self, rng):
-        t = make_scene(rng, 200, 12, 2)
+        t = random_scene(rng, 200, 12, 2)
         gen = make_generator(rng, 2)
         part = partition_blocks(t, 3)
         k_cos, k_sin = generate_kernel(gen, anchored_xyz(t))
@@ -207,7 +207,7 @@ class TestPushGatherPull:
         assert count.tolist() == [2]
 
     def test_gather_matches_bruteforce_enumeration(self, rng):
-        t = make_scene(rng, 400, 14, 2, batches=2)
+        t = random_scene(rng, 400, 14, 2, batches=2)
         gen = make_generator(rng, 2)
         part = partition_blocks(t, 3)
         k_cos, k_sin = generate_kernel(gen, anchored_xyz(t))
@@ -268,7 +268,7 @@ def corner_scene(rng, channels):
            (0, top, bottom, top), (0, top, top, bottom), (1, bottom, top, top),
            (1, bottom, bottom, bottom), (1, bottom + 1, bottom, bottom),
            (1, bottom, top, bottom)]
-    near = make_scene(rng, 60, 6, 1).coords
+    near = random_scene(rng, 60, 6, 1).coords
     near[:, 1:] += top - 2
     coords = np.unique(np.concatenate([np.array(pts), near]), axis=0)
     return SparseTensor(coords, rng.normal(size=(coords.shape[0], channels)))
@@ -299,7 +299,7 @@ class TestSeparableGather:
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_matches_block_enumeration(self, s, r):
         rng = np.random.default_rng(10 * s + r)
-        t = make_scene(rng, 500, 4 * s + 6, 2, batches=2)
+        t = random_scene(rng, 500, 4 * s + 6, 2, batches=2)
         part, proxies = pushed(t, s, rng)
         g_cos, g_sin, count, _ = link._gather(part, proxies, r)
         np.testing.assert_allclose(
@@ -321,7 +321,7 @@ class TestSeparableGather:
     @pytest.mark.parametrize("s,r,corner", [(1, 2, True), (3, 3, False),
                                             (2, 4, False), (3, 5, False)])
     def test_adjoint_identity(self, s, r, corner, rng):
-        t = corner_scene(rng, 1) if corner else make_scene(rng, 600, 24, 1, batches=2)
+        t = corner_scene(rng, 1) if corner else random_scene(rng, 600, 24, 1, batches=2)
         part, proxies = pushed(t, s, rng)
         _, _, _, sets = link._gather(part, proxies, r)
         p = rng.normal(size=(part.num_blocks, 3))
@@ -334,7 +334,7 @@ class TestSeparableGather:
         np.testing.assert_allclose(box, block_window_sums(part, p, r), rtol=0, atol=1e-12)
 
     def test_dropped_offset_is_left_out(self, rng):
-        t = make_scene(rng, 400, 14, 2)
+        t = random_scene(rng, 400, 14, 2)
         part, proxies = pushed(t, 3, rng)
         full_cos, _, full_count, _ = link._gather(part, proxies, 3)
         dropped_cos, _, dropped_count, _ = link._gather(
@@ -357,7 +357,7 @@ class TestSeparableGather:
     @pytest.mark.parametrize("s,r,corner", [(1, 2, True), (1, 4, True), (3, 3, False),
                                             (2, 4, False), (3, 5, False), (7, 2, False)])
     def test_box_sum_bits_match_per_offset_formula(self, s, r, corner, rng):
-        t = corner_scene(rng, 1) if corner else make_scene(rng, 900, 30, 1, batches=2)
+        t = corner_scene(rng, 1) if corner else random_scene(rng, 900, 30, 1, batches=2)
         part, _ = pushed(t, s, rng)
         keys = part.block_keys
         lo, hi = link.neighbor_window(r)
@@ -447,7 +447,7 @@ class TestGridPlan:
         dense = dense_scene(rng, 11, 2)
         far = dense.coords.copy()
         far[far[:, 0] == 1, 1] += 3000   # batch 1 moves far along x
-        sparse = make_scene(rng, 300, 60, 1)
+        sparse = random_scene(rng, 300, 60, 1)
         for t, plan in ((dense, link.BlockGrid),
                         (SparseTensor(far, dense.features), link.GatherSets),
                         (sparse, link.GatherSets),
@@ -539,7 +539,7 @@ class TestPushSummationOrder:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("s", [1, 3, 7])
     def test_push_bits_match_row_order_loop(self, dtype, s, rng):
-        t = permuted(make_scene(rng, 1500, 3 * s + 6, 3, dtype), rng)
+        t = permuted(random_scene(rng, 1500, 3 * s + 6, 3, dtype), rng)
         part = partition_blocks(t, s)
         if s == 3:
             # blocks of 4..27 members are where a pairwise reduction adds in another order
@@ -564,7 +564,7 @@ class TestPushSummationOrder:
         assert proxies.tobytes() == push_loop(part, t.features, k_cos, k_sin).tobytes()
 
     def test_single_voxel_blocks(self, rng):
-        t = permuted(make_scene(rng, 300, 12, 2), rng)
+        t = permuted(random_scene(rng, 300, 12, 2), rng)
         part = partition_blocks(t, 1)
         assert len(part.slot_rows) == 1
         k_cos, k_sin = generate_kernel(make_generator(rng, 2), anchored_xyz(t))
@@ -580,7 +580,7 @@ class TestPushSummationOrder:
         assert proxies.shape == (0, 6)
 
     def test_slots_hold_members_in_rank_order(self, rng):
-        t = permuted(make_scene(rng, 800, 14, 1, batches=2), rng)
+        t = permuted(random_scene(rng, 800, 14, 1, batches=2), rng)
         part = partition_blocks(t, 3)
         pops = part.populations
         assert len(set(pops.tolist())) > 3
@@ -718,14 +718,14 @@ class TestForwardOracleEquivalence:
         # augmented kernel values grow with the phase span, so scenes scale
         # with the kernel extent to keep the absolute tolerance meaningful
         extent = int(np.clip(2 * s * r + 2, 4, 40))
-        t = make_scene(rng, 400, extent, channels)
+        t = random_scene(rng, 400, extent, channels)
         cfg = LinKConfig(s, r, make_generator(rng, channels, 2, mode, s, r))
         a = link_forward(t, cfg)
         b = link_oracle(t, cfg)
         assert np.abs(a.features - b.features).max() <= 1e-12
 
     def test_float32_tolerance(self, rng):
-        t = make_scene(rng, 600, 20, 8, dtype=np.float32)
+        t = random_scene(rng, 600, 20, 8, dtype=np.float32)
         cfg = LinKConfig(3, 3, make_generator(rng, 8, 2, "pure", 3, 3))
         a = link_forward(t, cfg)
         b = link_oracle(t, cfg)
@@ -759,7 +759,7 @@ class TestForwardOracleEquivalence:
         # float32 paths sit within half a float32 ulp of a float64 oracle
         rng = np.random.default_rng(100 * s + r)
         extent = int(np.clip(2 * s * r + 2, 4, 40))
-        t = make_scene(rng, 600, extent, channels, dtype=np.float32)
+        t = random_scene(rng, 600, extent, channels, dtype=np.float32)
         cfg = LinKConfig(s, r, make_generator(rng, channels, 2, "augmented", s, r))
         ref = link_oracle(t.with_features(t.features.astype(np.float64)), cfg).features
         half_ulp = 0.5 * np.spacing(np.abs(ref).astype(np.float32)).astype(np.float64)
@@ -775,7 +775,7 @@ class TestForwardOracleEquivalence:
 
     def test_multibatch_independence(self, rng):
         # two batches aggregate independently even at identical coordinates
-        t = make_scene(rng, 300, 12, 2, batches=2)
+        t = random_scene(rng, 300, 12, 2, batches=2)
         cfg = LinKConfig(3, 2, make_generator(rng, 2))
         a = link_forward(t, cfg)
         b = link_oracle(t, cfg)
@@ -795,7 +795,7 @@ class TestInvariances:
 
     @pytest.mark.parametrize("s,r", [(3, 2), (7, 3), (4, 2)])
     def test_block_translation_bit_identical(self, s, r, rng):
-        t = make_scene(rng, 300, 16, 4)
+        t = random_scene(rng, 300, 16, 4)
         cfg = LinKConfig(s, r, make_generator(rng, 4, 2, "pure", s, r))
         shift = np.array([3, -2, 5]) * s
         moved = t.coords.copy()
@@ -805,7 +805,7 @@ class TestInvariances:
         assert np.array_equal(out1.features, out2.features)
 
     def test_forward_deterministic_repeat(self, rng):
-        t = make_scene(rng, 500, 20, 8, dtype=np.float32)
+        t = random_scene(rng, 500, 20, 8, dtype=np.float32)
         cfg = LinKConfig(3, 2, make_generator(rng, 8, 2))
         a = link_forward(t, cfg).features
         b = link_forward(t, cfg).features
@@ -820,7 +820,7 @@ class TestInvariances:
     def test_scene_at_coordinate_bound(self, rng):
         # neighbor probes past the packable box must be treated as misses;
         # block size 1 puts block coords right at the corner
-        base = make_scene(rng, 200, 10, 2)
+        base = random_scene(rng, 200, 10, 2)
         coords = base.coords.copy()
         coords[:, 1:] += 2 ** 15 - 5  # max component becomes 2^15 - 1
         assert coords[:, 1:].max() == 2 ** 15 - 1
@@ -859,7 +859,7 @@ def x_pass_reads(monkeypatch, t, cfg):
 
 class TestCounters:
     def test_push_pull_independent_of_range(self, rng):
-        t = make_scene(rng, 800, 20, 4)
+        t = random_scene(rng, 800, 20, 4)
         # one saved kernel row per voxel feeds both push and pull at any range
         for r in (1, 5):
             cfg = LinKConfig(3, r, make_generator(rng, 4, 1, "pure", 3, r))
@@ -870,7 +870,7 @@ class TestCounters:
             assert state.phase is None
 
     def test_gather_reads_bounded_by_r_cubed(self, rng, monkeypatch):
-        t = make_scene(rng, 800, 20, 4)
+        t = random_scene(rng, 800, 20, 4)
         for r in (1, 3, 5):
             cfg = LinKConfig(3, r, make_generator(rng, 4, 1, "pure", 3, r))
             m = partition_blocks(t, 3).num_blocks
@@ -892,7 +892,7 @@ class TestCounters:
 
     def test_oracle_pair_count_monotone_in_range(self, rng):
         # the oracle pairs every voxel with each voxel of its block neighborhood
-        t = make_scene(rng, 500, 16, 2)
+        t = random_scene(rng, 500, 16, 2)
         counts = [sum(len(rows) for rows in neighborhood_rows(t.coords, 3, r))
                   for r in (1, 3, 5)]
         assert counts[0] < counts[1] < counts[2]
@@ -924,14 +924,14 @@ class TestParamCounts:
 
 class TestBackward:
     def test_zero_grad(self, rng):
-        t = make_scene(rng, 50, 10, 4)
+        t = random_scene(rng, 50, 10, 4)
         cfg = LinKConfig(3, 2, make_generator(rng, 4, 2))
         _, state = link_forward(t, cfg, return_state=True)
         gf, gw, gfr = link_backward(np.zeros_like(t.features), t, cfg, state)
         assert (gf == 0).all() and (gw == 0).all() and (gfr == 0).all()
 
     def test_grad_linearity(self, rng):
-        t = make_scene(rng, 50, 10, 4)
+        t = random_scene(rng, 50, 10, 4)
         cfg = LinKConfig(3, 2, make_generator(rng, 4, 2))
         _, state = link_forward(t, cfg, return_state=True)
         g = rng.normal(size=t.features.shape)
@@ -968,7 +968,7 @@ class TestBackward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["pure", "augmented"])
     def test_input_only_equals_the_default(self, mode, dtype, rng):
-        t = make_scene(rng, 300, 12, 4, dtype)
+        t = random_scene(rng, 300, 12, 4, dtype)
         cfg = LinKConfig(3, 2, make_generator(rng, 4, 2, mode))
         _, state = link_forward(t, cfg, return_state=True)
         g = rng.normal(size=t.features.shape).astype(dtype)
@@ -978,7 +978,7 @@ class TestBackward:
         assert got.dtype == gf.dtype == dtype and got.tobytes() == gf.tobytes()
 
     def test_missing_state(self, rng):
-        t = make_scene(rng, 10, 6, 2)
+        t = random_scene(rng, 10, 6, 2)
         cfg = LinKConfig(3, 2, make_generator(rng, 2))
         with pytest.raises(ConfigError):
             link_backward(np.zeros_like(t.features), t, cfg, None)
@@ -987,7 +987,7 @@ class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_finite_differences(self, mode, seed):
         rng = np.random.default_rng(seed)
-        t = make_scene(rng, 40, 8, 4)
+        t = random_scene(rng, 40, 8, 4)
         gen = make_generator(rng, 4, 2, mode, 2, 2)
         cfg = LinKConfig(2, 2, gen)
         probe = rng.normal(size=t.features.shape)

@@ -30,8 +30,8 @@ from link3d.layers import (
     relu_backward,
 )
 from link3d.net import EncoderConfig, LinKModule, ResidualBlock, SegModel, SparseConv
-from link3d.verify import finite_difference
-from conftest import kept_state, make_scene, modules
+from link3d.verify import finite_difference, random_scene
+from conftest import kept_state, modules
 from oracles import compare_sampled, dense_conv_oracle, loop_majority
 
 
@@ -65,7 +65,7 @@ def small_config(channels=4, s=3, r=2, mode="pure", groups=1, link_enabled=True,
 
 class TestLinKModule:
     def test_all_zero_params_gives_zero(self, rng):
-        t = make_scene(rng, 40, 8, 4)
+        t = random_scene(rng, 40, 8, 4)
         module = LinKModule(4, 3, 2, "pure", 1, rng)
         for _, arr in module.named_parameters():
             arr[...] = 0.0
@@ -89,7 +89,7 @@ class TestLinKModule:
         np.testing.assert_allclose(out.features, expected, atol=1e-12)
 
     def test_coords_preserved(self, rng):
-        t = make_scene(rng, 80, 10, 4)
+        t = random_scene(rng, 80, 10, 4)
         module = LinKModule(4, 3, 2, "pure", 2, rng)
         out = module.forward(t)
         assert out.coords is t.coords
@@ -98,7 +98,7 @@ class TestLinKModule:
 class TestResidualBlockRoutes:
     def test_layer_matches_functional_composition(self, rng):
         """The layer against dense-grid convolutions, LayerNorm and ReLU."""
-        t = make_scene(rng, 70, 8, 4)
+        t = random_scene(rng, 70, 8, 4)
         layer = ResidualBlock(4, rng)
         for norm in (layer.norm1, layer.norm2):
             norm.params.scale[...] = rng.uniform(0.5, 1.5, size=4)
@@ -130,7 +130,7 @@ class TestEncoder:
         assert extents == [8, 4, 2, 1]
 
     def test_stage_coords_are_downsampled_parents(self, rng):
-        t = make_scene(rng, 200, 16, 1)
+        t = random_scene(rng, 200, 16, 1)
         enc = build_encoder(small_config(channels=2), seed=0)
         outs = enc.forward(t)
         prev = t.coords
@@ -179,7 +179,7 @@ class TestEncoder:
         assert len({id(arr) for _, arr in params}) == len(params)
         assert {"stem1.conv.weight", "stem2.norm.shift", "stage1.down.conv.weight",
                 "stage4.link_module.link.frequency"} <= set(paths)
-        outs = enc.forward(make_scene(rng, 60, 10, 1), grad=True)
+        outs = enc.forward(random_scene(rng, 60, 10, 1), grad=True)
         enc.zero_grads()
         enc.backward([np.ones_like(o.features) for o in outs])
         grads = list(enc.named_grads())
@@ -203,7 +203,7 @@ class TestKernelMapCache:
         return calls
 
     def test_encoder_builds_each_map_once(self, rng, builds):
-        t = make_scene(rng, 400, 12, 1)
+        t = random_scene(rng, 400, 12, 1)
         enc = build_encoder(small_config(), seed=0)
         first = enc.forward(t)
         # the stem and each stage's set: one 3^3 map; each downsample: one 2^3 map
@@ -216,7 +216,7 @@ class TestKernelMapCache:
             assert np.array_equal(a.features, b.features)
 
     def test_cache_follows_the_coordinate_set(self, rng, builds):
-        t = make_scene(rng, 200, 8, 2)
+        t = random_scene(rng, 200, 8, 2)
         conv = SparseConv(3, 2, 2, rng)
         twin = t.with_features(2 * t.features)
         fresh = SparseTensor(t.coords, t.features)
@@ -235,7 +235,7 @@ class TestEndToEndGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_full_encoder_matches_fd(self, seed):
         rng = np.random.default_rng(seed)
-        t = make_scene(rng, 60, 10, 1)
+        t = random_scene(rng, 60, 10, 1)
         enc = build_encoder(
             small_config(channels=3, mode="augmented", groups=1), seed=seed
         )
@@ -278,7 +278,7 @@ class TestInputOnlyBackward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["pure", "augmented"])
     def test_erf_equals_the_default_backward(self, mode, dtype):
-        t = make_scene(np.random.default_rng(5), 400, 14, 1, dtype)
+        t = random_scene(np.random.default_rng(5), 400, 14, 1, dtype)
         enc = build_encoder(small_config(channels=4, mode=mode, groups=2, dtype=dtype),
                             seed=3)
         for stage in (1, 4):
@@ -289,7 +289,7 @@ class TestInputOnlyBackward:
             assert mags.dtype == want.dtype and mags.tobytes() == want.tobytes()
 
     def test_input_only_leaves_grads_unchanged(self, rng):
-        t = make_scene(rng, 80, 10, 1)
+        t = random_scene(rng, 80, 10, 1)
         enc = build_encoder(small_config(channels=3), seed=0)
         probes = [np.ones_like(o.features) for o in enc.forward(t, grad=True)]
         enc.zero_grads()
@@ -346,7 +346,7 @@ class TestForwardState:
     }
 
     def test_default_forward_keeps_none_and_same_bytes(self, rng):
-        t = make_scene(rng, 300, 12, 1, np.float32, batches=2)
+        t = random_scene(rng, 300, 12, 1, np.float32, batches=2)
         enc = build_encoder(small_config(mode="augmented", dtype=np.float32), seed=0)
         kept = enc.forward(t, grad=True)
         assert kept_state(enc) == self.STATE
@@ -358,7 +358,7 @@ class TestForwardState:
 
     @pytest.mark.parametrize("earlier_grad", [False, True])
     def test_backward_without_state_raises(self, rng, earlier_grad):
-        t = make_scene(rng, 200, 10, 1)
+        t = random_scene(rng, 200, 10, 1)
         enc = build_encoder(small_config(channels=3), seed=0)
         outs = enc.forward(t, grad=earlier_grad)
         enc.forward(t)
@@ -376,7 +376,7 @@ class TestForwardState:
     def test_forward_only_peak_below_half(self):
         """tracemalloc peak of a forward-only pass on a two-batch scene at the
         detection preset, against the same pass keeping its backward state."""
-        t = make_scene(np.random.default_rng(0), 20000, 60, 1, np.float32, batches=2)
+        t = random_scene(np.random.default_rng(0), 20000, 60, 1, np.float32, batches=2)
         enc = build_encoder(EncoderConfig(
             stage_channels=(16,) * 4, block_sizes=(7,) * 4, neighbor_ranges=(3,) * 4,
             mode="augmented", dtype=np.float32), seed=0)
@@ -477,7 +477,7 @@ def test_erf_bits_do_not_depend_on_blas_threads():
 
 class TestToyTrain:
     def _scene(self, rng, n=120):
-        t = make_scene(rng, n, 10, 1)
+        t = random_scene(rng, n, 10, 1)
         labels = rng.integers(0, 3, size=t.num_voxels)
         return t, labels
 
@@ -551,7 +551,7 @@ class TestDownsampleLabels:
 
 
     def test_matches_loop_with_ties(self, rng):
-        t = make_scene(rng, 400, 10, 1, batches=2)
+        t = random_scene(rng, 400, 10, 1, batches=2)
         labels = rng.integers(0, 3, size=t.num_voxels)
         out_coords = coarsen(t.coords, 2)[0]
         down = downsample_labels(t.coords, labels, 3)
@@ -569,14 +569,14 @@ class TestDownsampleLabels:
 
 class TestSegModel:
     def test_loss_decreases_one_step(self, rng):
-        t = make_scene(rng, 100, 10, 1)
+        t = random_scene(rng, 100, 10, 1)
         labels = rng.integers(0, 4, size=t.num_voxels)
         cfg = small_config(channels=6)
         trace = toy_train([t], [labels], cfg, 30, 0.5, num_classes=4, seed=1)
         assert trace[-1] < trace[0]
 
     def test_label_length_checked(self, rng):
-        t = make_scene(rng, 50, 8, 1)
+        t = random_scene(rng, 50, 8, 1)
         model = SegModel(small_config(channels=4), 4, seed=0)
         with pytest.raises(ValueError):
             model.loss_and_grad(t, np.zeros(3, dtype=np.int64))
