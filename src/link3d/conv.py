@@ -20,19 +20,32 @@ the weight shapes alone, with the same bits:
 
 * the pair plan: one call of the library's gather-accumulate primitive,
   :func:`core._accumulate`, with the kernel weights: for each offset in turn,
-  ``out[dst] += x[src] @ W[o]``.  The core module docstring lists the two
-  exact ways the product is added;
+  ``out[dst] += x[src] @ W[o]``, in ``core.PAIR_TILE_ROWS``-row tiles of the
+  out rows, for which every offset's ``dst`` must ascend.  The forward's
+  ``dst`` are the out rows, which ascend on every map.  The stride-1
+  features' gradient needs offset ``o``'s pairs swapped, with ``dst`` the in
+  rows; those are offset ``-o``'s list, already sorted by its out row, so it
+  passes ``in_rows[::-1]`` and ``out_rows[::-1]`` as its lists.  A stride-2
+  map's in rows ascend when the set's rows are in key order
+  (``KernelMap.key_ordered``); otherwise its features' gradient runs as one
+  tile.  The core module docstring lists the exact ways a product is added;
 * the dense plan, for a stride-1 set that fills at least half of its
   (batch, x, y, z) bounding box: one pass of the library's dense-box
   primitive, :func:`core._shift_sum`, on the set's box padded by ``K // 2``
   planes after x, y and z: the row table's layout, where the set has one.
   Each offset is one product per row tile, added in offset order.  The
-  features' gradient negates the offsets and uses ``W[o].T``.
+  features' gradient negates the offsets.
 
-Both plans multiply in ``core.PRODUCT_ROWS``-row blocks, so a row's product
-has the same bits on either.  The core module docstring shows why the dense
-plan adds them to every row in the pair plan's order, plus an empty cell's
-product where the pair plan has no term, zero while the weights are finite.
+On both plans the features' gradient multiplies by ``W[o].T`` from one
+contiguous ``(K^3, c_out, c_in)`` copy of the weights per call, which BLAS
+multiplies faster than the transposed view (and with other bits at some
+widths; README's "Determinism" lists them).  Both plans multiply in
+``core.PRODUCT_ROWS``-row blocks, so a row's product has the same bits on
+either; a one-column product (a 1->C forward, a C->1 features' gradient)
+is a broadcast multiply, which keeps the outputs' bits.  The core module
+docstring shows why, and why the dense plan adds the products to every row
+in the pair plan's order, plus an empty cell's product where the pair plan
+has no term, zero while the weights are finite.
 
 The weights' gradient is one product per offset on either plan, over the
 offset's whole pair list: ``x[in_rows[o]].T @ grad_out[out_rows[o]]``.
@@ -82,6 +95,8 @@ class KernelMap:
     out_rows: List[np.ndarray]
     out_coords: np.ndarray           # (M, 4)
     num_in: int
+    # the input rows are in key order, so every list's in rows ascend
+    key_ordered: bool
     # stride 2: the output coordinate set, whose tensors share one map cache
     _out: Optional[SparseTensor] = field(default=None, repr=False)
     # stride 1: the set's box, padded by K // 2, when it is dense enough
@@ -95,7 +110,8 @@ class KernelMap:
         return int(sum(r.shape[0] for r in self.in_rows))
 
 
-def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray, table: Optional[RowTable]):
+def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray, table: Optional[RowTable],
+                       key_ordered: bool):
     """Stride-1 pair lists, one per offset after the centre: a gather from
     the set's row ``table`` at the offset's flat shift, or without a table
     one probe of the keys in row order.  Either way every row is looked up
@@ -103,13 +119,11 @@ def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray, table: Optional[Row
 
     Offsets are in lexicographic order, so offset ``-o`` sits at the mirrored
     index and its pairs are offset ``o``'s with in and out swapped, sorted
-    again by out row unless the rows are in key order; the centre is the
-    identity.
+    again by out row unless the rows are in ``key_ordered``; the centre is
+    the identity.
     """
     n = offsets.shape[0]
     order = t._order
-    # rows in key order: the in rows of a list sorted by out row ascend too
-    key_ordered = bool((order[1:] > order[:-1]).all())
     rows = np.arange(t.num_voxels, dtype=np.int64)
     # the centre keeps these identity pairs; the loop fills every other offset
     in_rows: List[np.ndarray] = [rows] * n
@@ -139,16 +153,18 @@ def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray, table: Optional[Row
 def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> KernelMap:
     """Enumerate the non-empty neighbor pairs for every output site."""
     offsets = kernel_offsets(kernel_size, stride)
+    # rows in key order: the in rows of a list sorted by out row ascend too
+    key_ordered = bool((t._order[1:] > t._order[:-1]).all())
     if stride == 1:
         pad = kernel_size // 2
         table = t._table(pad)
-        in_rows, out_rows = _submanifold_pairs(t, offsets, table)
+        in_rows, out_rows = _submanifold_pairs(t, offsets, table, key_ordered)
         # the dense plan's box: the table's layout where the set has one
         bounds, box = t._bounds(), None
         if fills(bounds, t.num_voxels, DENSE_CELLS):
             box = table.box if table is not None else lay_out(t.coords, bounds, pad)
         return KernelMap(kernel_size, stride, offsets, in_rows, out_rows,
-                         t.coords, t.num_voxels, box=box)
+                         t.coords, t.num_voxels, key_ordered, box=box)
     # coarsen's sorted keys fix the output row order
     coarse, keys = coarsen(t.coords, 2)[:2]
     out = SparseTensor._from_sorted(coarse, keys, np.zeros((coarse.shape[0], 0), t.dtype))
@@ -164,7 +180,7 @@ def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> Kern
         in_rows.append(rows[hit])
         out_rows.append(all_out[hit])
     return KernelMap(kernel_size, stride, offsets, in_rows, out_rows,
-                     coarse, t.num_voxels, out)
+                     coarse, t.num_voxels, key_ordered, out)
 
 
 @dataclass
@@ -207,13 +223,14 @@ def _dense(km: KernelMap, weights: np.ndarray) -> bool:
 
 
 def _run_plan(values: np.ndarray, km: KernelMap, weights: np.ndarray, offsets: np.ndarray,
-              src_rows, dst_rows, n_out: int) -> np.ndarray:
+              src_rows, dst_rows, n_out: int, ascending: bool) -> np.ndarray:
     """``out[dst_rows[o]] += values[src_rows[o]] @ weights[o]`` into ``n_out`` zero rows: on
-    the map's box, moved by ``offsets``, when :func:`_dense` allows it, else on the lists."""
+    the map's box, moved by ``offsets``, when :func:`_dense` allows it, else on the lists,
+    whose ``dst_rows`` each ascend if ``ascending``."""
     if _dense(km, weights):
         return _shift_sum(values, km.box, [offsets], weights)
     out = np.zeros((n_out, weights.shape[2]), dtype=values.dtype)
-    _accumulate(out, values, src_rows, dst_rows, weights)
+    _accumulate(out, values, src_rows, dst_rows, weights, ascending)
     return out
 
 
@@ -227,7 +244,7 @@ def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> Spars
         raise DimensionError("kernel map was built for a different tensor")
     dtype = t.dtype
     out = _run_plan(t.features, km, w.weights.astype(dtype, copy=False), km.offsets,
-                    km.in_rows, km.out_rows, km.num_out)
+                    km.in_rows, km.out_rows, km.num_out, ascending=True)
     if w.bias is not None:
         out += w.bias.astype(dtype, copy=False)
     return (km._out if km.stride == 2 else t).with_features(out)
@@ -248,9 +265,16 @@ def sparse_conv_backward(grad_out: np.ndarray, t: SparseTensor, w: ConvWeights, 
     dtype = t.dtype
     # one rounding on entry: every product below is in the tensor's dtype
     grad_out = grad_out.astype(dtype, copy=False)
-    # the forward's plan, transposed: offset o's W[o].T reads the cell -o away
-    grad_features = _run_plan(grad_out, km, w.weights.astype(dtype, copy=False).transpose(0, 2, 1),
-                              -km.offsets, km.out_rows, km.in_rows, km.num_in)
+    # the forward's plan, transposed: offset o reads the cell -o away times W[o].T, copied
+    # once to a contiguous array, which BLAS multiplies faster than the transposed view
+    weights_t = np.ascontiguousarray(w.weights.astype(dtype, copy=False).transpose(0, 2, 1))
+    if km.stride == 1:
+        # offset -o's list is offset o's pairs swapped, sorted by in row
+        src_rows, dst_rows, ascending = km.in_rows[::-1], km.out_rows[::-1], True
+    else:
+        src_rows, dst_rows, ascending = km.out_rows, km.in_rows, km.key_ordered
+    grad_features = _run_plan(grad_out, km, weights_t, -km.offsets, src_rows, dst_rows,
+                              km.num_in, ascending)
     if not params:
         return grad_features, None, None
     # each offset's whole pair list on either plan: a box product sums other rows, other bits

@@ -26,17 +26,32 @@ indexed output rows: for each index list o in turn,
 on its pair plan (forward and the features' gradient, one list per kernel
 offset) and each pass of LinK's separable box sum on its sorted-key plan (one
 list per block offset, with ``weights=None``: the gathered rows are added as
-they are).  A list that covers every out row in row order adds its product
-rows with ``out += prod``; any other list gathers the out rows it covers,
-adds to them and scatters them back as whole rows.  Both give the bits of
-``out[dst] += prod`` with unique ``dst``.
+they are).  Every caller's ``dst`` lists ascend, but one: the features'
+gradient of a stride-2 conv on a set whose rows are not in key order.  So
+the out rows run in tiles of ``PAIR_TILE_ROWS`` rows, a shorter tail joined
+to the tile before it (each tile costs a few calls per list, which on a
+sparse set of under two tiles outweighs the cache it saves): each ascending
+list is cut once at the tile bounds (``np.searchsorted``), and a tile runs
+every list's pairs that land in it, in list order, so its gathers, products
+and scatters stay in cache.  An out row still adds its lists' terms in list
+order from +0.0, so the tiles do not move its bits.  Within a tile, a list
+that covers every out row adds its product rows with ``out[lo:hi] += prod``;
+any other list gathers the out rows it covers, adds to them and scatters
+them back as whole rows.  Both give the bits of ``out[dst] += prod`` with
+unique ``dst``.  The caller that cannot promise ascending lists runs them as
+one tile, every list gathered and scattered.
 
 Every matrix product here is ``PRODUCT_ROWS`` rows times ``W[o]``: a list's
 gathered rows, or a tile of box cells, are zero-padded to whole blocks and go
 through one stacked ``np.matmul`` (:func:`_blocked_matmul`), one BLAS product
 per block.  A product row's bits then depend only on the row and ``W[o]``, not
-on how many rows the list or the box has, on a BLAS whose rows of a product of
-one shape do not depend on its other rows (as on OpenBLAS 0.3.31).
+on how many rows the list, the tile or the box has, on a BLAS whose rows of a
+product of one shape do not depend on its other rows (as on OpenBLAS 0.3.31).
+A one-column product is a broadcast ``np.multiply`` instead: each entry has
+one term and one rounding, as in BLAS, but a zero product may come out -0.0
+where BLAS gives +0.0.  It is only ever added to a sum that starts at +0.0,
+which never holds -0.0 (see below), and adding -0.0 to such a sum leaves it
+unchanged, so the outputs keep their bits.
 
 Both callers have a dense plan too, for a set that fills at least half of
 its (batch, x, y, z) bounding box.  :func:`box_bounds` takes the box,
@@ -57,7 +72,7 @@ coordinates, and one along a finer axis reads only other such cells.  So
 one pass of any moves, or passes along one axis each, add the pair plan's
 terms in its order, plus zeros.  Those leave the bits unchanged: a cell's
 sum starts at +0.0 and so never holds -0.0 (a float sum is -0.0 only if
-both terms are), and adding +0.0 to it changes nothing.
+both terms are), and adding a zero of either sign to it changes nothing.
 """
 
 from __future__ import annotations
@@ -79,6 +94,7 @@ KEY_XYZ_SHIFTS = (32, 16, 0)        # bit offsets of the x, y, z fields
 TILE_ROWS = 1024                    # rows per tile of a row-tiled per-voxel chain
 PRODUCT_ROWS = 256                  # rows of every matrix product in _accumulate and _shift_sum
 DENSE_TILE_ROWS = 8 * PRODUCT_ROWS  # box cells per tile of a dense-box pass
+PAIR_TILE_ROWS = 32 * PRODUCT_ROWS  # out rows per tile of _accumulate
 
 
 def _as_coord_array(coords) -> np.ndarray:
@@ -288,42 +304,63 @@ def _padded(n: int) -> int:
 
 def _blocked_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     """``a @ w`` into the C-contiguous ``out``, one BLAS product per
-    ``PRODUCT_ROWS``-row block of ``a``, whose row count is a multiple of it."""
+    ``PRODUCT_ROWS``-row block of ``a``, whose row count is a multiple of it.
+
+    A one-column ``a`` is a broadcast multiply: each entry is one term, one
+    rounding, as in the BLAS product, up to the sign of a zero (the module
+    docstring shows why that sign adds nothing), and as silent on overflow."""
+    if a.shape[1] == 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(a, w, out=out)
+        return
     np.matmul(a.reshape(-1, PRODUCT_ROWS, a.shape[1]), w,
               out=out.reshape(-1, PRODUCT_ROWS, w.shape[1]))
 
 
-def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None):
+def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None,
+                ascending: bool = False):
     """``out[dst_rows[o]] += x[src_rows[o]] @ weights[o]`` for each list o in turn.
 
-    ``weights=None`` adds the gathered rows themselves.  Each list takes one
-    of the two paths in the module docstring; ``dst_rows[o]`` holds no row
-    twice.
+    ``weights=None`` adds the gathered rows themselves.  ``dst_rows[o]``
+    holds no row twice.  With ``ascending``, every ``dst_rows[o]`` ascends
+    and the out rows run in ``PAIR_TILE_ROWS`` tiles, as the module
+    docstring says; without it they run as one tile, and every list takes
+    the gather-and-scatter path.
     """
     n_out, width = out.shape
     if out.size == 0:
         return
     # one void item per row: the scatter moves whole rows
     rows = out.view(np.dtype((np.void, out.dtype.itemsize * width)))[:, 0]
-    # one buffer for every list: its product rows lead
-    size = _padded(max((d.shape[0] for d in dst_rows), default=0))
+    # a tail shorter than a tile joins the tile before it
+    tiles = max(n_out // PAIR_TILE_ROWS, 1) if ascending else 1
+    edges = [t * PAIR_TILE_ROWS for t in range(tiles)] + [n_out]
+    # tile t holds the pairs cuts[o][t]:cuts[o][t + 1] of list o
+    cuts = [np.searchsorted(dst, edges).tolist() if tiles > 1 else [0, dst.shape[0]]
+            for dst in dst_rows]
+    # one buffer for every list and tile: its product rows lead
+    size = _padded(max((b - a for cut in cuts for a, b in zip(cut, cut[1:])), default=0))
     prod = np.empty((size, width), out.dtype)
+    acc = np.empty_like(prod)
     gathered = None if weights is None else np.empty((size, x.shape[1]), x.dtype)
-    for o, (src, dst) in enumerate(zip(src_rows, dst_rows)):
-        n = dst.shape[0]
-        if n == 0:
-            continue
-        # rows are in range by construction; "clip" fills out= unbuffered
-        np.take(x, src, axis=0, out=(prod if weights is None else gathered)[:n], mode="clip")
-        if weights is not None:
-            gathered[n : _padded(n)] = 0
-            _blocked_matmul(gathered[: _padded(n)], weights[o], prod[: _padded(n)])
-        if n == n_out and (dst[1:] > dst[:-1]).all():
-            out += prod[:n]
-        else:
-            acc = np.take(out, dst, axis=0)
-            acc += prod[:n]
-            rows[dst] = acc.view(rows.dtype)[:, 0]
+    for t, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        for o, (src_all, dst_all, cut) in enumerate(zip(src_rows, dst_rows, cuts)):
+            a, b = cut[t], cut[t + 1]
+            n = b - a
+            if n == 0:
+                continue
+            src, dst = src_all[a:b], dst_all[a:b]
+            # rows are in range by construction; "clip" fills out= unbuffered
+            np.take(x, src, axis=0, out=(prod if weights is None else gathered)[:n], mode="clip")
+            if weights is not None:
+                gathered[n : _padded(n)] = 0
+                _blocked_matmul(gathered[: _padded(n)], weights[o], prod[: _padded(n)])
+            if ascending and n == hi - lo:
+                out[lo:hi] += prod[:n]
+            else:
+                np.take(out, dst, axis=0, out=acc[:n], mode="clip")
+                acc[:n] += prod[:n]
+                rows[dst] = acc[:n].view(rows.dtype)[:, 0]
 
 
 def _shift_sum(values: np.ndarray, box: DenseBox, passes, weights=None) -> np.ndarray:

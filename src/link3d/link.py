@@ -427,7 +427,7 @@ def _box_sum(values, sets, adjoint=False):
         passes = [(src[::-1], dst[::-1]) for dst, src in reversed(passes)]
     for size, (dst, src) in zip(sizes, passes):
         out = np.zeros((size, values.shape[1]), values.dtype)
-        _accumulate(out, values, src, dst)
+        _accumulate(out, values, src, dst, ascending=True)
         values = out
     return values
 

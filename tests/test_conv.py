@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from link3d import conv
+from link3d import conv, core, link
 from link3d import (
     ConfigError,
     ConvWeights,
@@ -266,7 +266,7 @@ def reference_conv(t, w, km, grad_out):
             continue
         out[orow] += blocked_product(t.features[ir], weights[o])
         g = grad_out[orow]
-        grad_features[ir] += blocked_product(g, weights[o].T)
+        grad_features[ir] += blocked_product(g, np.ascontiguousarray(weights[o].T))
         grad_weights[o] = t.features[ir].T @ g
     out += w.bias.astype(t.dtype)
     return out, grad_features, grad_weights
@@ -302,16 +302,22 @@ SCENES = {
 }
 
 
+SCENE_STRIDES = [
+    ("block", 1), ("sparse", 1), ("permuted-block", 1), ("permuted-sparse", 1),
+    ("block", 2), ("sparse", 2), ("permuted-even-block", 2),
+]
+
+
 class TestSharedPrimitive:
     """Forward and backward are byte-equal to the per-offset formula on lists
     that cover all rows, at least half of them, and fewer."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("c_in,c_out", [(3, 4), (1, 4), (4, 1), (16, 2), (32, 2)])
-    @pytest.mark.parametrize("scene,stride", [
-        ("block", 1), ("sparse", 1), ("permuted-block", 1), ("permuted-sparse", 1),
-        ("block", 2), ("sparse", 2), ("permuted-even-block", 2),
-    ])
+    # at (8, 32) and (2, 16) the features' gradient by the transposed view W[o].T
+    # has other bits than by its contiguous copy
+    @pytest.mark.parametrize("c_in,c_out", [(3, 4), (1, 4), (4, 1), (16, 2), (32, 2),
+                                            (8, 32), (2, 16)])
+    @pytest.mark.parametrize("scene,stride", SCENE_STRIDES)
     def test_byte_equal_to_the_per_offset_formula(self, scene, stride, c_in, c_out, dtype):
         rng = np.random.default_rng(11)
         t = SCENES[scene](c_in, dtype, rng)
@@ -439,6 +445,106 @@ class TestDensePlan:
         w.weights[0, 0, 0] = np.inf
         km = build_kernel_map(t, 3, 1)
         assert km.box is not None and not conv._dense(km, w.weights)
+
+
+def conv_runs(t, w, km, grad_out):
+    """The forward, both backward gradients and the features' gradient alone."""
+    return [sparse_conv_forward(t, w, km).features,
+            *sparse_conv_backward(grad_out, t, w, km)[:2],
+            sparse_conv_backward(grad_out, t, w, km, params=False)[0]]
+
+
+class TestPairTiles:
+    """``_accumulate``'s out-row tiles give the bits of one tile, on the conv's
+    pair plan and on LinK's sorted-key box sum.  The scenes hold a few hundred
+    rows, and a tail shorter than a tile joins the tile before it, so the
+    tiles shrink to 64 and 16 rows."""
+
+    @pytest.mark.parametrize("tile", [64, 16])
+    def test_conv_bits_equal_one_tile(self, tile, monkeypatch):
+        rng = np.random.default_rng(31)
+        cases = ([(SCENES[scene], stride, 3 if stride == 1 else 2)
+                  for scene, stride in SCENE_STRIDES]
+                 + [(make, 1, kernel) for make, _ in DENSE_SCENES.values() for kernel in (3, 5)])
+        tiled = unordered = 0
+        for (make, stride, kernel), dtype, (c_in, c_out) in itertools.product(
+                cases, [np.float32, np.float64], [(3, 4), (1, 16), (16, 1)]):
+            t = make(c_in, dtype, rng)
+            w = ConvWeights.random(kernel, c_in, c_out, rng, stride=stride, dtype=dtype)
+            w.bias[:] = rng.normal(size=c_out)
+            km = dataclasses.replace(build_kernel_map(t, kernel, stride), box=None)
+            grad_out = rng.normal(size=(km.num_out, c_out)).astype(dtype)
+            want = conv_runs(t, w, km, grad_out)
+            with monkeypatch.context() as m:
+                m.setattr(core, "PAIR_TILE_ROWS", tile)
+                got = conv_runs(t, w, km, grad_out)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), (make, stride, kernel, dtype, c_in, c_out)
+            tiled += max(km.num_in, km.num_out) >= 2 * tile
+            unordered += stride == 2 and not km.key_ordered
+        # several tiles run, and so does the one-tile stride-2 backward
+        assert tiled and unordered
+
+    @pytest.mark.parametrize("tile", [core.PRODUCT_ROWS, 16])
+    def test_link_box_sum_bits_equal_one_tile(self, tile, monkeypatch):
+        rng = np.random.default_rng(37)
+        t = random_scene(rng, 900, 30, 1, batches=2)
+        part = link.partition_blocks(t, 1)
+        lo, hi = link.neighbor_window(3)
+        sets = link._key_plan(part.block_keys, lo, hi)
+        assert link._grid_plan(part.block_coords, lo, hi) is None
+        assert part.num_blocks > 2 * tile
+        for dtype in (np.float32, np.float64):
+            v = rng.normal(size=(part.num_blocks, 5)).astype(dtype)
+            for adjoint in (False, True):
+                want = link._box_sum(v, sets, adjoint)
+                with monkeypatch.context() as m:
+                    m.setattr(core, "PAIR_TILE_ROWS", tile)
+                    got = link._box_sum(v, sets, adjoint)
+                assert got.tobytes() == want.tobytes()
+
+
+def extreme_values(shape, dtype, rng):
+    """Normal values with every third one replaced, in turn, by +-0.0, a
+    subnormal or a value near the dtype's largest."""
+    info = np.finfo(dtype)
+    special = np.array([0.0, -0.0, info.smallest_subnormal, -3 * info.smallest_subnormal,
+                        info.smallest_normal / 5, info.max / 2, -info.max / 3, 0.9 * info.max],
+                       dtype)
+    values = rng.normal(size=shape).astype(dtype).ravel()
+    values[::3] = np.resize(special, values[::3].shape)
+    return values.reshape(shape)
+
+
+class TestOneChannelProducts:
+    """A one-column product (a 1->C forward, a C->1 conv's features'
+    gradient) is a broadcast multiply; the outputs keep the per-offset
+    formula's bytes on both plans.  Raw products are not compared: a
+    one-term product may differ from BLAS's in the sign of a zero, which
+    adds nothing to a sum that starts at +0.0."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("plan", ["dense", "pairs"])
+    @pytest.mark.parametrize("c_in,c_out", [(1, 16), (16, 1)])
+    def test_bytes_equal_reference(self, c_in, c_out, plan, dtype):
+        rng = np.random.default_rng(41)
+        t = DENSE_SCENES["cube"][0](c_in, dtype, rng)
+        w = ConvWeights.random(3, c_in, c_out, rng, dtype=dtype)
+        km = build_kernel_map(t, 3, 1)
+        if plan == "pairs":
+            km = dataclasses.replace(km, box=None)
+        assert conv._dense(km, w.weights) == (plan == "dense")
+        if c_in == 1:
+            t = t.with_features(extreme_values(t.features.shape, dtype, rng))
+        grad_out = rng.normal(size=(km.num_out, c_out)).astype(dtype)
+        if c_out == 1:
+            grad_out = extreme_values(grad_out.shape, dtype, rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, grad_features, _ = reference_conv(t, w, km, grad_out)
+            got = sparse_conv_forward(t, w, km).features
+            gf = sparse_conv_backward(grad_out, t, w, km, params=False)[0]
+        assert got.tobytes() == out.tobytes()
+        assert gf.tobytes() == grad_features.tobytes()
 
 
 class TestRowsIndependentOfTheSet:

@@ -475,6 +475,44 @@ def test_erf_bits_do_not_depend_on_blas_threads():
     assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
 
 
+# the float32 8->32 conv's features' gradient, whose bits the contiguous W[o].T
+# copy moved, on the dense plan and on the pair plan of a 70%-full 24^3 box
+CONV_GRAD_HASH_SCRIPT = """
+import dataclasses
+import hashlib
+import numpy as np
+from link3d import SparseTensor, conv
+rng = np.random.default_rng(8)
+axis = np.arange(24)
+xyz = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+xyz = xyz[rng.random(xyz.shape[0]) < 0.7]
+coords = np.concatenate([np.zeros((xyz.shape[0], 1), np.int64), xyz], axis=1)
+t = SparseTensor(coords, rng.normal(size=(coords.shape[0], 8)).astype(np.float32))
+w = conv.ConvWeights.random(3, 8, 32, rng, dtype=np.float32)
+km = conv.build_kernel_map(t, 3, 1)
+assert km.box is not None
+grad_out = rng.normal(size=(km.num_out, 32)).astype(np.float32)
+for plan in (km, dataclasses.replace(km, box=None)):
+    gf = conv.sparse_conv_backward(grad_out, t, w, plan, params=False)[0]
+    print(hashlib.sha256(gf.tobytes()).hexdigest())
+"""
+
+
+def test_conv_features_grad_bits_do_not_depend_on_blas_threads():
+    src = str(Path(link3d.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", CONV_GRAD_HASH_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        runs.append(run.stdout.split())
+    # two plans, the same bits on each, at either thread count
+    assert len(runs[0]) == 2 and runs[0][0] == runs[0][1]
+    assert runs[0] == runs[1]
+
+
 class TestToyTrain:
     def _scene(self, rng, n=120):
         t = random_scene(rng, n, 10, 1)
