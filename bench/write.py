@@ -1,16 +1,18 @@
 """Write ``BENCH_<n>.json``: the benchmark's numbers for one checkout, in one file.
 
     python3 bench/write.py --out BENCH_2.json
-    python3 bench/write.py --out BENCH_2.json --seconds 10 --seed 1 --rev <label>
+    python3 bench/write.py --out BENCH_1.json --rev <commit>
 
 Runs each of these as a subprocess of the checkout this script sits in,
 with BLAS pinned to one thread, and reads its output:
 
-* ``linkbench/run.py`` for each workload, at ``--trace 0`` (end-to-end
-  metrics) and ``--trace 1`` (per-layer metrics): the last JSON line of each
-  run.  The traced run's ``.linkbench/trace-<workload>-seed<n>.json`` gives
-  per-layer calls and counts at fixed op indices (``TRACE_OPS``), which do
-  not depend on how many ops fit the time budget;
+* ``linkbench/run.py`` for each workload at seed ``SEED`` for ``SECONDS``,
+  at ``--trace 0`` (end-to-end metrics) and ``--trace 1`` (per-layer
+  metrics): the last JSON line of each run.  The seed and the run length
+  are fixed so that every ``BENCH_<n>.json`` is written alike.  The traced
+  run's ``.linkbench/trace-<workload>-seed<n>.json`` gives per-layer calls
+  and counts at fixed op indices (``TRACE_OPS``), which do not depend on
+  how many ops fit the time budget;
 * ``linkbench/flat_rs.py``: its time per (s, r) and the r=5 / r=1 ratio at
   s = 3 and 7;
 * ``link erf --set n_points=120000 --set extent=3.5`` and ``link
@@ -38,6 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("encoder-seg", "link-wide", "scan-det")
+SEED = 1
+SECONDS = 30.0              # per linkbench run
 TRACE_OPS = (0, 1)          # the op indices whose per-layer counts are recorded
 ERF_SETTINGS = ("n_points=120000", "extent=3.5")
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -147,15 +151,15 @@ def timed_cli(command: str, settings=()) -> tuple:
         return time.perf_counter() - t0, out.read_text()
 
 
-def linkbench(seed: int, seconds: float) -> dict:
+def linkbench() -> dict:
     results = {}
     for name in WORKLOADS:
         entry = {}
         for trace in (0, 1):
             proc = run([sys.executable, "linkbench/run.py", "--workload", name, "--seed",
-                        str(seed), "--seconds", str(seconds), "--trace", str(trace)])
+                        str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)])
             entry["end_to_end" if trace == 0 else "per_layer"] = last_json(proc.stdout)
-        trace_file = ROOT / ".linkbench" / f"trace-{name}-seed{seed}.json"
+        trace_file = ROOT / ".linkbench" / f"trace-{name}-seed{SEED}.json"
         entry["trace_counts"] = trace_counts(json.loads(trace_file.read_text()))
         results[name] = entry
     return results
@@ -183,12 +187,10 @@ def machine(rev) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="path of the BENCH_<n>.json to write")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30.0, help="per linkbench run")
     ap.add_argument("--rev", help="revision label where the checkout has no git metadata")
     args = ap.parse_args(argv)
-    result = {"machine": machine(args.rev), "seed": args.seed, "seconds": args.seconds,
-              "linkbench": linkbench(args.seed, args.seconds)}
+    result = {"machine": machine(args.rev), "seed": SEED, "seconds": SECONDS,
+              "linkbench": linkbench()}
     result["flat_rs"] = parse_flat_rs(run([sys.executable, "linkbench/flat_rs.py"]).stdout)
     wall, text = timed_cli("erf", ERF_SETTINGS)
     result["erf"] = {"settings": list(ERF_SETTINGS), "wall_s": wall, **parse_erf_trailer(text)}

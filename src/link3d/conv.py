@@ -41,11 +41,9 @@ contiguous ``(K^3, c_out, c_in)`` copy of the weights per call, which BLAS
 multiplies faster than the transposed view (and with other bits at some
 widths; README's "Determinism" lists them).  Both plans multiply in
 ``core.PRODUCT_ROWS``-row blocks, so a row's product has the same bits on
-either; a one-column product (a 1->C forward, a C->1 features' gradient)
-is a broadcast multiply, which keeps the outputs' bits.  The core module
-docstring shows why, and why the dense plan adds the products to every row
-in the pair plan's order, plus an empty cell's product where the pair plan
-has no term, zero while the weights are finite.
+either.  The core module docstring shows why the dense plan adds the
+products to every row in the pair plan's order, plus an empty cell's
+product where the pair plan has no term, zero while the weights are finite.
 
 The weights' gradient is one product per offset on either plan, over the
 offset's whole pair list: ``x[in_rows[o]].T @ grad_out[out_rows[o]]``.

@@ -47,11 +47,6 @@ through one stacked ``np.matmul`` (:func:`_blocked_matmul`), one BLAS product
 per block.  A product row's bits then depend only on the row and ``W[o]``, not
 on how many rows the list, the tile or the box has, on a BLAS whose rows of a
 product of one shape do not depend on its other rows (as on OpenBLAS 0.3.31).
-A one-column product is a broadcast ``np.multiply`` instead: each entry has
-one term and one rounding, as in BLAS, but a zero product may come out -0.0
-where BLAS gives +0.0.  It is only ever added to a sum that starts at +0.0,
-which never holds -0.0 (see below), and adding -0.0 to such a sum leaves it
-unchanged, so the outputs keep their bits.
 
 Both callers have a dense plan too, for a set that fills at least half of
 its (batch, x, y, z) bounding box.  :func:`box_bounds` takes the box,
@@ -304,15 +299,7 @@ def _padded(n: int) -> int:
 
 def _blocked_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     """``a @ w`` into the C-contiguous ``out``, one BLAS product per
-    ``PRODUCT_ROWS``-row block of ``a``, whose row count is a multiple of it.
-
-    A one-column ``a`` is a broadcast multiply: each entry is one term, one
-    rounding, as in the BLAS product, up to the sign of a zero (the module
-    docstring shows why that sign adds nothing), and as silent on overflow."""
-    if a.shape[1] == 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(a, w, out=out)
-        return
+    ``PRODUCT_ROWS``-row block of ``a``, whose row count is a multiple of it."""
     np.matmul(a.reshape(-1, PRODUCT_ROWS, a.shape[1]), w,
               out=out.reshape(-1, PRODUCT_ROWS, w.shape[1]))
 

@@ -517,11 +517,9 @@ def extreme_values(shape, dtype, rng):
 
 
 class TestOneChannelProducts:
-    """A one-column product (a 1->C forward, a C->1 conv's features'
-    gradient) is a broadcast multiply; the outputs keep the per-offset
-    formula's bytes on both plans.  Raw products are not compared: a
-    one-term product may differ from BLAS's in the sign of a zero, which
-    adds nothing to a sum that starts at +0.0."""
+    """A 1->C forward and a C->1 conv's features' gradient, on inputs that
+    hold +-0.0, subnormals and values near the dtype's max, keep the
+    per-offset formula's bytes on both plans."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("plan", ["dense", "pairs"])
