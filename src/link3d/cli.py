@@ -193,16 +193,20 @@ def load_config(command: str, config_path: Optional[str],
         setattr(cfg, key, value)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(
-                        f"{config_path}:{lineno}: expected key=value, got {line!r}"
-                    )
-                key, _, value = line.partition("=")
-                _apply(cfg, key, value)
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise FileFormatError(f"{config_path}: not UTF-8 text") from exc
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(
+                    f"{config_path}:{lineno}: expected key=value, got {line!r}"
+                )
+            key, _, value = line.partition("=")
+            _apply(cfg, key, value)
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -346,6 +350,8 @@ def cmd_erf(cfg: RunConfig) -> int:
 
 
 def cmd_train_toy(cfg: RunConfig) -> int:
+    if cfg.input:
+        raise ConfigError("train-toy trains on its own labeled scene and does not read input")
     cloud, point_labels = gen_labeled_scene(
         cfg.seed, cfg.n_points, cfg.extent, cfg.num_classes
     )

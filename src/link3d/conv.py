@@ -22,13 +22,13 @@ the weight shapes alone, with the same bits:
   :func:`core._accumulate`, with the kernel weights: for each offset in turn,
   ``out[dst] += x[src] @ W[o]``, in ``core.PAIR_TILE_ROWS``-row tiles of the
   out rows, for which every offset's ``dst`` must ascend.  The forward's
-  ``dst`` are the out rows, which ascend on every map.  The stride-1
-  features' gradient needs offset ``o``'s pairs swapped, with ``dst`` the in
-  rows; those are offset ``-o``'s list, already sorted by its out row, so it
-  passes ``in_rows[::-1]`` and ``out_rows[::-1]`` as its lists.  A stride-2
-  map's in rows ascend when the set's rows are in key order
-  (``KernelMap.key_ordered``); otherwise its features' gradient runs as one
-  tile.  The core module docstring lists the exact ways a product is added;
+  ``dst`` are the out rows, which ascend on every map.  The features'
+  gradient swaps each offset's pairs, with ``dst`` the in rows, ascending
+  too, in ``KernelMap.grad_rows``: at stride 1 offset ``-o``'s lists
+  (``in_rows[::-1]``, ``out_rows[::-1]``), already sorted by in row; at
+  stride 2 the pairs swapped, sorted by in row only where the set's rows are
+  not in key order (one pair per in row, so the sort moves no bit).  The
+  core module docstring lists the exact ways a product is added;
 * the dense plan, for a stride-1 set that fills at least half of its
   (batch, x, y, z) bounding box: one pass of the library's dense-box
   primitive, :func:`core._shift_sum`, on the set's box padded by ``K // 2``
@@ -52,7 +52,7 @@ offset's whole pair list: ``x[in_rows[o]].T @ grad_out[out_rows[o]]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -93,8 +93,8 @@ class KernelMap:
     out_rows: List[np.ndarray]
     out_coords: np.ndarray           # (M, 4)
     num_in: int
-    # the input rows are in key order, so every list's in rows ascend
-    key_ordered: bool
+    # the features' gradient's (src, dst) lists: each offset's pairs swapped, dst ascending
+    grad_rows: Tuple[List[np.ndarray], List[np.ndarray]]
     # stride 2: the output coordinate set, whose tensors share one map cache
     _out: Optional[SparseTensor] = field(default=None, repr=False)
     # stride 1: the set's box, padded by K // 2, when it is dense enough
@@ -109,7 +109,7 @@ class KernelMap:
 
 
 def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray, table: Optional[RowTable],
-                       key_ordered: bool):
+                       in_key_order: bool):
     """Stride-1 pair lists, one per offset after the centre: a gather from
     the set's row ``table`` at the offset's flat shift, or without a table
     one probe of the keys in row order.  Either way every row is looked up
@@ -117,7 +117,7 @@ def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray, table: Optional[Row
 
     Offsets are in lexicographic order, so offset ``-o`` sits at the mirrored
     index and its pairs are offset ``o``'s with in and out swapped, sorted
-    again by out row unless the rows are in ``key_ordered``; the centre is
+    again by out row unless the rows are ``in_key_order``; the centre is
     the identity.
     """
     n = offsets.shape[0]
@@ -141,7 +141,7 @@ def _submanifold_pairs(t: SparseTensor, offsets: np.ndarray, table: Optional[Row
             dst, pos = probe_keys(t.keys, t._sorted_keys, offsets[o])
             src = order[pos]
         out_rows[o], in_rows[o] = dst, src
-        if not key_ordered:
+        if not in_key_order:
             by_src = np.argsort(src)
             src, dst = src[by_src], dst[by_src]
         out_rows[n - 1 - o], in_rows[n - 1 - o] = src, dst
@@ -152,17 +152,17 @@ def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> Kern
     """Enumerate the non-empty neighbor pairs for every output site."""
     offsets = kernel_offsets(kernel_size, stride)
     # rows in key order: the in rows of a list sorted by out row ascend too
-    key_ordered = bool((t._order[1:] > t._order[:-1]).all())
+    in_key_order = bool((t._order[1:] > t._order[:-1]).all())
     if stride == 1:
         pad = kernel_size // 2
         table = t._table(pad)
-        in_rows, out_rows = _submanifold_pairs(t, offsets, table, key_ordered)
+        in_rows, out_rows = _submanifold_pairs(t, offsets, table, in_key_order)
         # the dense plan's box: the table's layout where the set has one
         bounds, box = t._bounds(), None
         if fills(bounds, t.num_voxels, DENSE_CELLS):
             box = table.box if table is not None else lay_out(t.coords, bounds, pad)
-        return KernelMap(kernel_size, stride, offsets, in_rows, out_rows,
-                         t.coords, t.num_voxels, key_ordered, box=box)
+        return KernelMap(kernel_size, stride, offsets, in_rows, out_rows, t.coords,
+                         t.num_voxels, (in_rows[::-1], out_rows[::-1]), box=box)
     # coarsen's sorted keys fix the output row order
     coarse, keys = coarsen(t.coords, 2)[:2]
     out = SparseTensor._from_sorted(coarse, keys, np.zeros((coarse.shape[0], 0), t.dtype))
@@ -177,8 +177,13 @@ def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> Kern
         hit = rows >= 0
         in_rows.append(rows[hit])
         out_rows.append(all_out[hit])
+    grad_rows = (out_rows, in_rows)
+    if not in_key_order:
+        # the pairs by in row: one pair per in row, so the sort moves no bit
+        by_in = [np.argsort(rows) for rows in in_rows]
+        grad_rows = tuple([r[by] for r, by in zip(lists, by_in)] for lists in grad_rows)
     return KernelMap(kernel_size, stride, offsets, in_rows, out_rows,
-                     coarse, t.num_voxels, key_ordered, out)
+                     coarse, t.num_voxels, grad_rows, out)
 
 
 @dataclass
@@ -221,14 +226,14 @@ def _dense(km: KernelMap, weights: np.ndarray) -> bool:
 
 
 def _run_plan(values: np.ndarray, km: KernelMap, weights: np.ndarray, offsets: np.ndarray,
-              src_rows, dst_rows, n_out: int, ascending: bool) -> np.ndarray:
+              src_rows, dst_rows, n_out: int) -> np.ndarray:
     """``out[dst_rows[o]] += values[src_rows[o]] @ weights[o]`` into ``n_out`` zero rows: on
     the map's box, moved by ``offsets``, when :func:`_dense` allows it, else on the lists,
-    whose ``dst_rows`` each ascend if ``ascending``."""
+    whose ``dst_rows`` each ascend."""
     if _dense(km, weights):
         return _shift_sum(values, km.box, [offsets], weights)
     out = np.zeros((n_out, weights.shape[2]), dtype=values.dtype)
-    _accumulate(out, values, src_rows, dst_rows, weights, ascending)
+    _accumulate(out, values, src_rows, dst_rows, weights)
     return out
 
 
@@ -242,7 +247,7 @@ def sparse_conv_forward(t: SparseTensor, w: ConvWeights, km: KernelMap) -> Spars
         raise DimensionError("kernel map was built for a different tensor")
     dtype = t.dtype
     out = _run_plan(t.features, km, w.weights.astype(dtype, copy=False), km.offsets,
-                    km.in_rows, km.out_rows, km.num_out, ascending=True)
+                    km.in_rows, km.out_rows, km.num_out)
     if w.bias is not None:
         out += w.bias.astype(dtype, copy=False)
     return (km._out if km.stride == 2 else t).with_features(out)
@@ -266,13 +271,7 @@ def sparse_conv_backward(grad_out: np.ndarray, t: SparseTensor, w: ConvWeights, 
     # the forward's plan, transposed: offset o reads the cell -o away times W[o].T, copied
     # once to a contiguous array, which BLAS multiplies faster than the transposed view
     weights_t = np.ascontiguousarray(w.weights.astype(dtype, copy=False).transpose(0, 2, 1))
-    if km.stride == 1:
-        # offset -o's list is offset o's pairs swapped, sorted by in row
-        src_rows, dst_rows, ascending = km.in_rows[::-1], km.out_rows[::-1], True
-    else:
-        src_rows, dst_rows, ascending = km.out_rows, km.in_rows, km.key_ordered
-    grad_features = _run_plan(grad_out, km, weights_t, -km.offsets, src_rows, dst_rows,
-                              km.num_in, ascending)
+    grad_features = _run_plan(grad_out, km, weights_t, -km.offsets, *km.grad_rows, km.num_in)
     if not params:
         return grad_features, None, None
     # each offset's whole pair list on either plan: a box product sums other rows, other bits

@@ -26,20 +26,20 @@ indexed output rows: for each index list o in turn,
 on its pair plan (forward and the features' gradient, one list per kernel
 offset) and each pass of LinK's separable box sum on its sorted-key plan (one
 list per block offset, with ``weights=None``: the gathered rows are added as
-they are).  Every caller's ``dst`` lists ascend, but one: the features'
-gradient of a stride-2 conv on a set whose rows are not in key order.  So
-the out rows run in tiles of ``PAIR_TILE_ROWS`` rows, a shorter tail joined
-to the tile before it (each tile costs a few calls per list, which on a
-sparse set of under two tiles outweighs the cache it saves): each ascending
-list is cut once at the tile bounds (``np.searchsorted``), and a tile runs
-every list's pairs that land in it, in list order, so its gathers, products
-and scatters stay in cache.  An out row still adds its lists' terms in list
+they are).  Every caller's ``dst`` lists ascend (the conv's features'
+gradient reads its lists from ``KernelMap.grad_rows``), so the out rows run
+in tiles of ``PAIR_TILE_ROWS`` rows, by the one tail rule of every row loop
+here and in LinK's per-voxel chains (:func:`_tiles`: a tail shorter than a
+tile joins the tile before it; each tile costs a few calls per list, which
+on a sparse set of under two tiles outweighs the cache it saves).  Each list
+is cut once at the tile bounds (``np.searchsorted``), and a tile runs every
+list's pairs that land in it, in list order, so its gathers, products and
+scatters stay in cache.  An out row still adds its lists' terms in list
 order from +0.0, so the tiles do not move its bits.  Within a tile, a list
 that covers every out row adds its product rows with ``out[lo:hi] += prod``;
 any other list gathers the out rows it covers, adds to them and scatters
 them back as whole rows.  Both give the bits of ``out[dst] += prod`` with
-unique ``dst``.  The caller that cannot promise ascending lists runs them as
-one tile, every list gathered and scattered.
+unique ``dst``.
 
 Every matrix product here is ``PRODUCT_ROWS`` rows times ``W[o]``: a list's
 gathered rows, or a tile of box cells, are zero-padded to whole blocks and go
@@ -279,17 +279,15 @@ def row_table(coords: np.ndarray, bounds, pad: int) -> RowTable:
     return RowTable(bounds[0], pad, box, rows)
 
 
-def _tiles(n: int):
-    """Row slices of ``TILE_ROWS`` rows covering ``range(n)``.
-
-    A one-row tail joins the tile before it: numpy multiplies a one-row matrix
-    on its vector path, whose bits differ from the matrix path's, so only a
-    one-row input makes a one-row tile.
+def _tiles(n: int, rows: int):
+    """Slices of ``rows`` rows covering ``range(n)``, a tail shorter than a
+    tile joined to the tile before it: the last tile holds ``rows`` to
+    ``2 * rows - 1`` rows, or all ``n`` < ``rows``.  So a tile has one row
+    only if ``n`` or ``rows`` is 1; numpy multiplies a one-row matrix on its
+    vector path, whose bits differ from the matrix path's.
     """
-    bounds = list(range(0, n, TILE_ROWS))
-    if n > 1 and n % TILE_ROWS == 1:
-        bounds.pop()
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [n])]
+    count = n // rows or min(n, 1)
+    return [slice(t * rows, n if t == count - 1 else (t + 1) * rows) for t in range(count)]
 
 
 def _padded(n: int) -> int:
@@ -304,33 +302,28 @@ def _blocked_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
               out=out.reshape(-1, PRODUCT_ROWS, w.shape[1]))
 
 
-def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None,
-                ascending: bool = False):
+def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None):
     """``out[dst_rows[o]] += x[src_rows[o]] @ weights[o]`` for each list o in turn.
 
-    ``weights=None`` adds the gathered rows themselves.  ``dst_rows[o]``
-    holds no row twice.  With ``ascending``, every ``dst_rows[o]`` ascends
-    and the out rows run in ``PAIR_TILE_ROWS`` tiles, as the module
-    docstring says; without it they run as one tile, and every list takes
-    the gather-and-scatter path.
+    ``weights=None`` adds the gathered rows themselves.  Every
+    ``dst_rows[o]`` ascends, and the out rows run in ``PAIR_TILE_ROWS``
+    tiles, as the module docstring says.
     """
     n_out, width = out.shape
     if out.size == 0:
         return
     # one void item per row: the scatter moves whole rows
     rows = out.view(np.dtype((np.void, out.dtype.itemsize * width)))[:, 0]
-    # a tail shorter than a tile joins the tile before it
-    tiles = max(n_out // PAIR_TILE_ROWS, 1) if ascending else 1
-    edges = [t * PAIR_TILE_ROWS for t in range(tiles)] + [n_out]
+    tiles = _tiles(n_out, PAIR_TILE_ROWS)
     # tile t holds the pairs cuts[o][t]:cuts[o][t + 1] of list o
-    cuts = [np.searchsorted(dst, edges).tolist() if tiles > 1 else [0, dst.shape[0]]
-            for dst in dst_rows]
+    edges = [tile.start for tile in tiles] + [n_out]
+    cuts = [np.searchsorted(dst, edges).tolist() for dst in dst_rows]
     # one buffer for every list and tile: its product rows lead
     size = _padded(max((b - a for cut in cuts for a, b in zip(cut, cut[1:])), default=0))
     prod = np.empty((size, width), out.dtype)
     acc = np.empty_like(prod)
     gathered = None if weights is None else np.empty((size, x.shape[1]), x.dtype)
-    for t, (lo, hi) in enumerate(zip(edges, edges[1:])):
+    for t, tile in enumerate(tiles):
         for o, (src_all, dst_all, cut) in enumerate(zip(src_rows, dst_rows, cuts)):
             a, b = cut[t], cut[t + 1]
             n = b - a
@@ -342,8 +335,8 @@ def _accumulate(out: np.ndarray, x: np.ndarray, src_rows, dst_rows, weights=None
             if weights is not None:
                 gathered[n : _padded(n)] = 0
                 _blocked_matmul(gathered[: _padded(n)], weights[o], prod[: _padded(n)])
-            if ascending and n == hi - lo:
-                out[lo:hi] += prod[:n]
+            if n == tile.stop - tile.start:
+                out[tile] += prod[:n]
             else:
                 np.take(out, dst, axis=0, out=acc[:n], mode="clip")
                 acc[:n] += prod[:n]
@@ -367,12 +360,13 @@ def _shift_sum(values: np.ndarray, box: DenseBox, passes, weights=None) -> np.nd
     length = _padded(size) + 2 * margin
     src = np.zeros((length, values.shape[1]), values.dtype)
     src[margin + box.cells] = values
+    tiles = _tiles(size, DENSE_TILE_ROWS)
     if weights is not None:
-        prod = np.empty((min(_padded(size), DENSE_TILE_ROWS), width), values.dtype)
+        prod = np.empty((_padded(tiles[-1].stop - tiles[-1].start), width), values.dtype)
     for flat in shifts:
         out = np.zeros((length, width), values.dtype)
-        for lo in range(margin, margin + size, DENSE_TILE_ROWS):
-            hi = min(lo + DENSE_TILE_ROWS, margin + size)
+        for tile in tiles:
+            lo, hi = margin + tile.start, margin + tile.stop
             acc, n = out[lo:hi], _padded(hi - lo)
             for o, s in enumerate(flat):
                 if weights is None:

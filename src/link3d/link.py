@@ -21,10 +21,10 @@ backward's ``grad_out / count`` and kernel gradient each run one tile of
 ``TILE_ROWS`` rows at a time into preallocated outputs, so their temporaries
 stay in cache.  Every step is elementwise or a per-row product, so a tile
 gives the bits of the whole array.  The one exception is a one-row matrix
-product, which numpy runs on its vector path, so no tile has one row unless
-the whole input does.  The reductions over rows, the weight gradient's
-matrix product and augmented mode's frequency-gradient sum, run on the whole
-array.
+product, which numpy runs on its vector path; ``core._tiles`` joins a short
+tail to the tile before it, so no tile has one row unless the whole input
+does.  The reductions over rows, the weight gradient's matrix product and
+augmented mode's frequency-gradient sum, run on the whole array.
 
 The push sums each block's members in *slots*: slot j holds the j-th member
 of every block with more than j members.  Blocks are ranked by descending
@@ -215,7 +215,7 @@ def _kernel_parts(gen: KernelGenerator, coords_xyz: np.ndarray, dtype):
     k_cos = np.empty((n, gen.channels), dtype)
     k_sin = np.empty_like(k_cos)
     phase = np.empty((n, gc), dtype) if gen.mode == "augmented" else None
-    for rows in _tiles(n):
+    for rows in _tiles(n, TILE_ROWS):
         ph, kc, ks = _kernel_tile(gen, x[rows], dtype)
         # the generated channels, block-repeated across the groups
         k_cos[rows].reshape(-1, gen.groups, gc)[:] = kc[:, None]
@@ -427,7 +427,7 @@ def _box_sum(values, sets, adjoint=False):
         passes = [(src[::-1], dst[::-1]) for dst, src in reversed(passes)]
     for size, (dst, src) in zip(sizes, passes):
         out = np.zeros((size, values.shape[1]), values.dtype)
-        _accumulate(out, values, src, dst, ascending=True)
+        _accumulate(out, values, src, dst)
         values = out
     return values
 
@@ -477,7 +477,7 @@ def pull(
     ``count``."""
     b = part.voxel_block
     out = np.empty(k_cos.shape, np.result_type(g_cos, g_sin, k_cos, k_sin))
-    for rows in _tiles(b.shape[0]):
+    for rows in _tiles(b.shape[0], TILE_ROWS):
         br = b[rows]
         tile = g_cos[br] * k_cos[rows]
         tile += g_sin[br] * k_sin[rows]
@@ -611,7 +611,7 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
     # adjoint divides grad_out by the count, and in the gathered sums is
     # then push's per-block segment sum
     g = np.empty((n, c), np.result_type(grad_out, dtype))
-    for rows in _tiles(n):
+    for rows in _tiles(n, TILE_ROWS):
         np.divide(grad_out[rows], state.count[b[rows]][:, None].astype(dtype), out=g[rows])
     dg = push_proxies(part, g, state.k_cos, state.k_sin)
 
@@ -631,7 +631,7 @@ def link_backward(grad_out: np.ndarray, t: SparseTensor, cfg: LinKConfig, state:
         dphase = np.empty((n, gc), np.result_type(g, state.g_cos, dproxy, features, state.k_cos))
         # augmented mode's per-row frequency terms, summed as a whole below
         freq_terms = np.empty_like(dphase) if gen.mode == "augmented" else None
-    for rows in _tiles(n):
+    for rows in _tiles(n, TILE_ROWS):
         br = b[rows]
         dpc, dps = dproxy_cos[br], dproxy_sin[br]
         pulled = dpc * state.k_cos[rows]

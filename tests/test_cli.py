@@ -293,6 +293,13 @@ class TestTrainToyCommand:
         assert run(["train-toy", "--set", "n_points=0"]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: train-toy requires a non-empty scene\n"
 
+    def test_input_is_a_usage_error(self, tmp_path, capsys):
+        # it trains on its generated labeled scene, so a scan path is refused
+        assert run(["train-toy", "--set", f"input={tmp_path}/absent.bin"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("error: train-toy trains on its own labeled scene "
+                       "and does not read input\n")
+
     def test_float32_training_runs(self, tmp_path):
         out = tmp_path / "trace.csv"
         args = ["train-toy", *TOY_ARGS, "--set", "precision=32",
@@ -326,6 +333,14 @@ class TestInputAndExitCodes:
 
     def test_unreadable_config_exits_3(self, tmp_path):
         assert run(["verify", "--config", f"{tmp_path}/absent.cfg"]) == EXIT_IO
+
+    def test_config_not_utf8_exits_3_with_one_line(self, tmp_path, capsys):
+        config = tmp_path / "utf16.cfg"
+        config.write_bytes("s=3\n".encode("utf-16"))
+        assert config.read_bytes().startswith(b"\xff\xfe")
+        assert run(["verify", "--config", str(config)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: not UTF-8 text\n"
 
     @pytest.mark.parametrize(
         "setting",

@@ -211,50 +211,62 @@ class TestSparseTensor:
         assert (t.lookup(far) == -1).all()
 
 
+class TestTiles:
+    """Every row loop's tiles: each row once, in order, in tiles of the given
+    size, a tail shorter than a tile joined to the tile before it."""
+
+    @pytest.mark.parametrize("rows", [core.TILE_ROWS, core.DENSE_TILE_ROWS, core.PAIR_TILE_ROWS])
+    # n = tiles * rows + extra
+    @pytest.mark.parametrize("tiles,extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, -1),
+                                             (2, 1)])
+    def test_tiles_cover_rows_without_a_lone_row(self, rows, tiles, extra):
+        n = tiles * rows + extra
+        got = core._tiles(n, rows)
+        assert [i for sl in got for i in range(n)[sl]] == list(range(n))
+        assert all(sl.stop - sl.start == rows for sl in got[:-1])
+        if n:
+            assert min(n, rows) <= got[-1].stop - got[-1].start <= 2 * rows - 1
+        else:
+            assert got == []
+
+
 class TestAccumulate:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_unweighted_paths_match_fancy_add(self, dtype, rng):
-        # lists covering every row in order, every row out of order, most rows
-        # and few rows: all gathered, added and scattered; the ascending ones
-        # again with ascending=True, where a list that covers every row adds in place
+        # lists covering every row, most rows and few rows: the first adds in
+        # place, the others are gathered, added and scattered
         n_out, n_x = 40, 60
-        lists = [np.arange(n_out), rng.permutation(n_out),
-                 np.sort(rng.choice(n_out, 30, replace=False)),
+        lists = [np.arange(n_out), np.sort(rng.choice(n_out, 30, replace=False)),
                  np.sort(rng.choice(n_out, 5, replace=False)), np.zeros(0, np.int64)]
+        dst_rows = lists + lists[::-1]
         x = rng.normal(size=(n_x, 3)).astype(dtype)
-        for ascending in (False, True):
-            dst_rows = [d for d in lists + lists[::-1]
-                        if not ascending or (np.diff(d) > 0).all()]
-            src_rows = [rng.integers(0, n_x, d.shape[0]) for d in dst_rows]
-            out = np.zeros((n_out, 3), dtype)
-            core._accumulate(out, x, src_rows, dst_rows, ascending=ascending)
-            expected = np.zeros((n_out, 3), dtype)
-            for src, dst in zip(src_rows, dst_rows):
-                expected[dst] += x[src]
-            assert out.tobytes() == expected.tobytes()
+        src_rows = [rng.integers(0, n_x, d.shape[0]) for d in dst_rows]
+        out = np.zeros((n_out, 3), dtype)
+        core._accumulate(out, x, src_rows, dst_rows)
+        expected = np.zeros((n_out, 3), dtype)
+        for src, dst in zip(src_rows, dst_rows):
+            expected[dst] += x[src]
+        assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("channels", [1, 16])
     def test_weighted_matches_per_list_product(self, channels, dtype, rng):
-        # every row in order and out of order, about 90%, 50% and 5% of the
-        # rows, and none; 300 rows take two product blocks; the ascending
-        # lists again with ascending=True
+        # every row, about 90%, 50% and 5% of the rows, and none; 300 rows
+        # take two product blocks
         n_out, n_x = 300, 400
-        lists = [np.arange(n_out), rng.permutation(n_out),
-                 *(np.sort(rng.choice(n_out, k, replace=False)) for k in (270, 150, 15)),
-                 np.zeros(0, np.int64)]
+        dst_rows = [np.arange(n_out),
+                    *(np.sort(rng.choice(n_out, k, replace=False)) for k in (270, 150, 15)),
+                    np.zeros(0, np.int64)]
         x = rng.normal(size=(n_x, channels)).astype(dtype)
-        for ascending in (False, True):
-            dst_rows = [d for d in lists if not ascending or (np.diff(d) > 0).all()]
-            src_rows = [rng.integers(0, n_x, d.shape[0]) for d in dst_rows]
-            weights = rng.normal(size=(len(dst_rows), channels, channels)).astype(dtype)
-            out = np.zeros((n_out, channels), dtype)
-            core._accumulate(out, x, src_rows, dst_rows, weights, ascending)
-            expected = np.zeros((n_out, channels), dtype)
-            for o, (src, dst) in enumerate(zip(src_rows, dst_rows)):
-                if dst.shape[0]:
-                    expected[dst] += blocked_product(x[src], weights[o])
-            assert out.tobytes() == expected.tobytes()
+        src_rows = [rng.integers(0, n_x, d.shape[0]) for d in dst_rows]
+        weights = rng.normal(size=(len(dst_rows), channels, channels)).astype(dtype)
+        out = np.zeros((n_out, channels), dtype)
+        core._accumulate(out, x, src_rows, dst_rows, weights)
+        expected = np.zeros((n_out, channels), dtype)
+        for o, (src, dst) in enumerate(zip(src_rows, dst_rows)):
+            if dst.shape[0]:
+                expected[dst] += blocked_product(x[src], weights[o])
+        assert out.tobytes() == expected.tobytes()
 
     def test_empty_out_is_left_alone(self):
         out = np.zeros((0, 2))

@@ -666,12 +666,6 @@ class TestRowTiles:
     """The per-voxel chains run one row tile at a time, with the bits of the
     whole-array formulas at every tile boundary."""
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
-    def test_tiles_cover_rows_without_a_lone_row(self, n):
-        tiles = link._tiles(n)
-        assert [i for sl in tiles for i in range(n)[sl]] == list(range(n))
-        assert all(2 <= sl.stop - sl.start <= TILE + 1 for sl in tiles) or n == 1
-
     @pytest.mark.parametrize("n", [0, 1, 2, 100, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
     @pytest.mark.parametrize("mode,dtype,groups", [
         ("pure", np.float32, 1), ("pure", np.float64, 2),
