@@ -282,20 +282,22 @@ def _median_ms(fun) -> float:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.input:
+        raise ConfigError("verify runs on generated scenes and does not read input")
     results = run_suites(
         cfg.seed, cfg.mode, cfg.groups, cfg.precision,
         corrupt=cfg.corrupt == "drop-neighbor",
     )
-    for res in results:
-        print(res.line())
+    lines = [res.line() for res in results]
     failed = [res.name for res in results if res.status == "FAIL"]
     passed = sum(res.status == "PASS" for res in results)
     skipped = sum(res.status == "SKIP" for res in results)
     if failed:
-        print(f"verify: FAIL ({', '.join(failed)})")
-        return EXIT_FAIL
-    print(f"verify: PASS ({passed} suites, {skipped} skipped)")
-    return EXIT_OK
+        lines.append(f"verify: FAIL ({', '.join(failed)})")
+    else:
+        lines.append(f"verify: PASS ({passed} suites, {skipped} skipped)")
+    _emit(cfg, "\n".join(lines) + "\n")
+    return EXIT_FAIL if failed else EXIT_OK
 
 
 def cmd_bench(cfg: RunConfig) -> int:

@@ -86,7 +86,6 @@ def kernel_offsets(kernel_size: int, stride: int = 1) -> np.ndarray:
 class KernelMap:
     """Per-offset (in_row, out_row) index pairs for an explicit sparse conv."""
 
-    kernel_size: int
     stride: int
     offsets: np.ndarray              # (K^3, 3)
     in_rows: List[np.ndarray]        # one array per offset
@@ -161,7 +160,7 @@ def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> Kern
         bounds, box = t._bounds(), None
         if fills(bounds, t.num_voxels, DENSE_CELLS):
             box = table.box if table is not None else lay_out(t.coords, bounds, pad)
-        return KernelMap(kernel_size, stride, offsets, in_rows, out_rows, t.coords,
+        return KernelMap(stride, offsets, in_rows, out_rows, t.coords,
                          t.num_voxels, (in_rows[::-1], out_rows[::-1]), box=box)
     # coarsen's sorted keys fix the output row order
     coarse, keys = coarsen(t.coords, 2)[:2]
@@ -182,7 +181,7 @@ def build_kernel_map(t: SparseTensor, kernel_size: int, stride: int = 1) -> Kern
         # the pairs by in row: one pair per in row, so the sort moves no bit
         by_in = [np.argsort(rows) for rows in in_rows]
         grad_rows = tuple([r[by] for r, by in zip(lists, by_in)] for lists in grad_rows)
-    return KernelMap(kernel_size, stride, offsets, in_rows, out_rows,
+    return KernelMap(stride, offsets, in_rows, out_rows,
                      coarse, t.num_voxels, grad_rows, out)
 
 

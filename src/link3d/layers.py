@@ -1,13 +1,13 @@
 """Per-voxel numeric primitives with analytic backward passes.
 
-Everything here operates on plain (N, C) feature matrices; sparse structure
-is handled by the callers.  LayerNorm normalizes each voxel over its channel
-dimension, which keeps it independent of batch composition.
+Everything here operates on plain (N, C) feature matrices and takes its
+parameters as plain arrays; sparse structure and parameter storage are the
+callers' (``net.Norm`` holds LayerNorm's scale and shift).  LayerNorm
+normalizes each voxel over its channel dimension, which keeps it independent
+of batch composition.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,30 +16,20 @@ from .errors import DimensionError
 LN_EPS = 1e-5
 
 
-@dataclass
-class LayerNormParams:
-    scale: np.ndarray  # (C,)
-    shift: np.ndarray  # (C,)
-
-    @classmethod
-    def identity(cls, channels: int, dtype=np.float64) -> "LayerNormParams":
-        return cls(np.ones(channels, dtype=dtype), np.zeros(channels, dtype=dtype))
-
-
 def _into(op, a, b, out: np.ndarray) -> np.ndarray:
     """``op(a, b)``, written into ``out`` when the result has ``out``'s dtype."""
     return op(a, b, out=out if np.result_type(a, b) == out.dtype else None)
 
 
-def layer_norm_forward(x: np.ndarray, params: LayerNormParams):
-    """Normalize each row over channels, then apply per-channel scale/shift.
+def layer_norm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
+    """Normalize each row over channels, then apply the (C,) ``scale`` and ``shift``.
 
     Returns (y, cache) where cache feeds :func:`layer_norm_backward`.  Works
     in place where the dtypes allow, with the bits of the plain formulas.
     """
-    if x.shape[1] != params.scale.shape[0]:
+    if x.shape[1] != scale.shape[0]:
         raise DimensionError(
-            f"LayerNorm over {params.scale.shape[0]} channels applied to {x.shape[1]}"
+            f"LayerNorm over {scale.shape[0]} channels applied to {x.shape[1]}"
         )
     mean = x.mean(axis=1, keepdims=True)
     x_hat = x - mean            # centered, normalized in place below
@@ -47,9 +37,9 @@ def layer_norm_forward(x: np.ndarray, params: LayerNormParams):
     var = sq.mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     x_hat *= inv_std
-    y = _into(np.multiply, x_hat, params.scale, sq)
-    y = _into(np.add, y, params.shift, y)
-    return y, (x_hat, inv_std, params.scale)
+    y = _into(np.multiply, x_hat, scale, sq)
+    y = _into(np.add, y, shift, y)
+    return y, (x_hat, inv_std, scale)
 
 
 def layer_norm_backward(grad_y: np.ndarray, cache, params: bool = True):

@@ -262,7 +262,6 @@ class BlockPartition:
     more than j members are the ranks below some n_j.
     """
 
-    block_size: int
     block_coords: np.ndarray       # (M, 4) int64, sorted by packed key
     block_keys: np.ndarray         # (M,) packed keys, ascending
     voxel_block: np.ndarray        # (N,) block id per voxel row
@@ -295,7 +294,6 @@ def partition_blocks(t: SparseTensor, block_size: int) -> BlockPartition:
     # at_least[k]: the number of blocks with at least k members
     at_least = np.cumsum(np.bincount(counts)[::-1])[::-1]
     return BlockPartition(
-        block_size=block_size,
         block_coords=blocks,
         block_keys=keys,
         voxel_block=inverse,

@@ -3,9 +3,12 @@
 Topology: a stem of two submanifold 3^3 conv-norm-ReLU layers, then four
 stages of [stride-2 conv-norm-ReLU downsample -> residual branch +
 large-kernel module], branch outputs combined by element-wise sum.  Every
-norm is a per-voxel LayerNorm over channels.  All layers carry hand-written
-backward passes so the whole stack can be gradient-checked against finite
-differences and trained with plain gradient descent.  Each ``backward``
+norm is a per-voxel LayerNorm over channels, and each ``Norm`` module holds
+its own scale and shift.  Parameter paths follow attribute names
+(``stage2.link_module.link.weight``); ``Module`` says how a module finds its
+children.  All layers carry hand-written backward passes so the whole stack
+can be gradient-checked against finite differences and trained with plain
+gradient descent.  Each ``backward``
 takes ``params``: with False it returns the same input gradient but computes
 no parameter gradient, which is all the ERF probe needs.
 
@@ -32,7 +35,6 @@ from .core import SparseTensor, coarsen
 from .data import majority_vote
 from .errors import ConfigError, DimensionError, DivergenceError
 from .layers import (
-    LayerNormParams,
     layer_norm_backward,
     layer_norm_forward,
     relu,
@@ -45,7 +47,11 @@ ERF_MASS = 0.9  # share of the ERF map's total magnitude its radius holds
 
 
 class Module:
-    """Minimal parameter tree: named parameter and gradient walks."""
+    """Minimal parameter tree: named parameter and gradient walks.
+
+    A module's children are its Module-valued attributes, in the order they
+    were set; a child's dotted prefix is its attribute name.
+    """
 
     def __init__(self):
         self.grads = {}
@@ -53,15 +59,13 @@ class Module:
     def _params(self) -> dict:
         return {}
 
-    def _children(self) -> list:
-        return []
-
     def named_modules(self):
         """``(dotted prefix, module)`` for this module and each one under it, pre-order."""
         yield "", self
-        for child_name, child in self._children():
-            for prefix, m in child.named_modules():
-                yield f"{child_name}.{prefix}", m
+        for child_name, child in vars(self).items():
+            if isinstance(child, Module):
+                for prefix, m in child.named_modules():
+                    yield f"{child_name}.{prefix}", m
 
     def named_parameters(self):
         for prefix, m in self.named_modules():
@@ -165,17 +169,19 @@ class SparseConv(Module):
 
 
 class Norm(Module):
-    """Per-voxel LayerNorm over channels."""
+    """Per-voxel LayerNorm over channels with a per-channel scale and shift,
+    initialised to the identity."""
 
     def __init__(self, channels, dtype=np.float64):
         super().__init__()
-        self.params = LayerNormParams.identity(channels, dtype=dtype)
+        self.scale = np.ones(channels, dtype=dtype)
+        self.shift = np.zeros(channels, dtype=dtype)
 
     def _params(self):
-        return {"scale": self.params.scale, "shift": self.params.shift}
+        return {"scale": self.scale, "shift": self.shift}
 
     def forward(self, feats: np.ndarray, grad: bool = False) -> np.ndarray:
-        y, cache = layer_norm_forward(feats, self.params)
+        y, cache = layer_norm_forward(feats, self.scale, self.shift)
         self._keep(grad, _cache=cache)
         return y
 
@@ -193,23 +199,15 @@ class LinKOp(Module):
 
     def __init__(self, channels, block_size, neighbor_range, mode, groups, rng):
         super().__init__()
-        self.generator = KernelGenerator.create(
-            channels,
-            groups=groups,
-            mode=mode,
-            kernel_extent=block_size * neighbor_range,
-            rng=rng,
-        )
-        self.cfg = LinKConfig(
-            block_size=block_size,
-            neighbor_range=neighbor_range,
-            generator=self.generator,
-        )
+        gen = KernelGenerator.create(channels, groups=groups, mode=mode,
+                                     kernel_extent=block_size * neighbor_range, rng=rng)
+        self.cfg = LinKConfig(block_size, neighbor_range, gen)
 
     def _params(self):
-        p = {"weight": self.generator.weight}
-        if self.generator.mode == "augmented":
-            p["frequency"] = self.generator.frequency
+        gen = self.cfg.generator
+        p = {"weight": gen.weight}
+        if gen.mode == "augmented":
+            p["frequency"] = gen.frequency
         return p
 
     def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
@@ -225,7 +223,7 @@ class LinKOp(Module):
         gf, gw, gfreq = link_backward(grad, t, self.cfg, state, params=params)
         if params:
             self._acc("weight", gw)
-            if self.generator.mode == "augmented":
+            if self.cfg.generator.mode == "augmented":
                 self._acc("frequency", gfreq)
         return gf
 
@@ -239,10 +237,6 @@ class ResidualBlock(Module):
         self.conv2 = SparseConv(3, channels, channels, rng, dtype=dtype)
         self.norm1 = Norm(channels, dtype=dtype)
         self.norm2 = Norm(channels, dtype=dtype)
-
-    def _children(self):
-        return [("conv1", self.conv1), ("conv2", self.conv2),
-                ("norm1", self.norm1), ("norm2", self.norm2)]
 
     def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
         h = self.conv1.forward(t, grad).features
@@ -275,9 +269,6 @@ class ResidualBranch(Module):
         self.block1 = ResidualBlock(channels, rng, dtype)
         self.block2 = ResidualBlock(channels, rng, dtype)
 
-    def _children(self):
-        return [("block1", self.block1), ("block2", self.block2)]
-
     def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
         return self.block2.forward(self.block1.forward(t, grad), grad)
 
@@ -301,10 +292,6 @@ class LinKModule(Module):
         self.bypass = SparseConv(3, channels, channels, rng, dtype=dtype)
         self.norm = Norm(channels, dtype=dtype)
         self.link_enabled = link_enabled
-
-    def _children(self):
-        return [("pointwise", self.pointwise), ("link", self.link),
-                ("bypass", self.bypass), ("norm", self.norm)]
 
     def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
         h = self.bypass.forward(t, grad).features
@@ -334,9 +321,6 @@ class ConvNormReLU(Module):
         self.conv = SparseConv(kernel_size, c_in, c_out, rng, stride=stride, dtype=dtype)
         self.norm = Norm(c_out, dtype=dtype)
 
-    def _children(self):
-        return [("conv", self.conv), ("norm", self.norm)]
-
     def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
         out = self.conv.forward(t, grad)
         h = self.norm.forward(out.features, grad)
@@ -361,10 +345,6 @@ class Stage(Module):
         self.link_module = LinKModule(
             c_out, block_size, neighbor_range, mode, groups, rng, link_enabled, dtype,
         )
-
-    def _children(self):
-        return [("down", self.down), ("residual", self.residual),
-                ("link_module", self.link_module)]
 
     def forward(self, t: SparseTensor, grad: bool = False) -> SparseTensor:
         d = self.down.forward(t, grad)
@@ -405,25 +385,18 @@ class Encoder(Module):
     def __init__(self, cfg: EncoderConfig, rng):
         super().__init__()
         dt = cfg.dtype
-        self.cfg = cfg
         self.stem1 = ConvNormReLU(3, cfg.in_channels, cfg.stem_channels, rng, dtype=dt)
         self.stem2 = ConvNormReLU(3, cfg.stem_channels, cfg.stem_channels, rng, dtype=dt)
         self.stages: List[Stage] = []
         c_prev = cfg.stem_channels
         for i, c in enumerate(cfg.stage_channels):
-            self.stages.append(
-                Stage(
-                    c_prev, c, cfg.block_sizes[i], cfg.neighbor_ranges[i],
-                    cfg.mode, cfg.groups, rng, cfg.link_enabled, dt,
-                )
+            stage = Stage(
+                c_prev, c, cfg.block_sizes[i], cfg.neighbor_ranges[i],
+                cfg.mode, cfg.groups, rng, cfg.link_enabled, dt,
             )
+            setattr(self, f"stage{i + 1}", stage)
+            self.stages.append(stage)
             c_prev = c
-
-    def _children(self):
-        kids = [("stem1", self.stem1), ("stem2", self.stem2)]
-        for i, s in enumerate(self.stages):
-            kids.append((f"stage{i + 1}", s))
-        return kids
 
     def forward(self, t: SparseTensor, n_stages: Optional[int] = None,
                 grad: bool = False) -> List[SparseTensor]:
@@ -540,10 +513,6 @@ class SegModel(Module):
         self.head = PointwiseConv(
             cfg.stage_channels[0], num_classes, rng, scale=0.01, dtype=cfg.dtype
         )
-        self.num_classes = num_classes
-
-    def _children(self):
-        return [("encoder", self.encoder), ("head", self.head)]
 
     def loss_and_grad(self, t: SparseTensor, stage1_labels: np.ndarray) -> float:
         """Cross-entropy at stage 1; accumulates parameter gradients."""

@@ -166,6 +166,23 @@ class TestVerifyCommand:
     def test_unknown_key_exits_2(self, capsys):
         assert run(["verify", "--set", "bogus=1"]) == EXIT_USAGE
 
+    def test_out_writes_the_report(self, tmp_path, capsys):
+        out = tmp_path / "verify.txt"
+        assert run(["verify", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("suite oracle_equivalence")
+        assert all(line.startswith("suite ") for line in lines[:-1])
+        assert re.fullmatch(rf"verify: PASS \({len(lines) - 1} suites, 0 skipped\)", lines[-1])
+
+    def test_input_is_a_usage_error(self, tmp_path, capsys):
+        # the suites run on generated scenes, so a scan path is refused
+        assert run(["verify", "--set", f"input={tmp_path}/absent.bin"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: verify runs on generated scenes "
+                                "and does not read input\n")
+
 
 SMALL_BENCH = [
     "--set", "n_points=4000", "--set", "extent=1.2", "--set", "s=3",

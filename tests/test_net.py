@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -24,7 +25,6 @@ from link3d import net
 from link3d.core import coarsen
 from link3d.layers import (
     LN_EPS,
-    LayerNormParams,
     layer_norm_backward,
     layer_norm_forward,
     relu_backward,
@@ -85,7 +85,7 @@ class TestLinKModule:
         module.bypass.conv.weights[center] = np.eye(3)
         module.bypass.conv.bias[...] = 0.0
         out = module.forward(t)
-        expected = np.maximum(layer_norm_forward(2 * x, module.norm.params)[0], 0)
+        expected = np.maximum(layer_norm_forward(2 * x, module.norm.scale, module.norm.shift)[0], 0)
         np.testing.assert_allclose(out.features, expected, atol=1e-12)
 
     def test_coords_preserved(self, rng):
@@ -101,15 +101,15 @@ class TestResidualBlockRoutes:
         t = random_scene(rng, 70, 8, 4)
         layer = ResidualBlock(4, rng)
         for norm in (layer.norm1, layer.norm2):
-            norm.params.scale[...] = rng.uniform(0.5, 1.5, size=4)
-            norm.params.shift[...] = rng.normal(size=4)
+            norm.scale[...] = rng.uniform(0.5, 1.5, size=4)
+            norm.shift[...] = rng.normal(size=4)
 
         def conv(feats, sc):
             out = dense_conv_oracle(t.coords, feats, sc.conv.weights, sc.conv.bias, 3)
             return np.array([out[tuple(c)] for c in t.coords])
 
         def norm(x, layer_norm):
-            return layer_norm_forward(x, layer_norm.params)[0]
+            return layer_norm_forward(x, layer_norm.scale, layer_norm.shift)[0]
 
         h = np.maximum(norm(conv(t.features, layer.conv1), layer.norm1), 0)
         h = norm(conv(h, layer.conv2), layer.norm2)
@@ -159,7 +159,7 @@ class TestEncoder:
         enc = build_encoder(cfg, seed=0)
         total = sum(arr.size for _, arr in enc.named_parameters())
         gen_total = sum(
-            count_generator_params(st.link_module.link.generator)
+            count_generator_params(st.link_module.link.cfg.generator)
             for st in enc.stages
         )
         dense_total = total - gen_total + sum(
@@ -186,6 +186,41 @@ class TestEncoder:
         assert [name for name, _ in grads] == paths
         for (_, g), (_, arr) in zip(grads, params):
             assert g is not None and g.shape == arr.shape
+
+
+class TestModuleTree:
+    """The ordered ``named_modules`` prefixes and ``named_parameters`` names,
+    pinned as (count, sha256 of the names joined by newlines)."""
+
+    ENCODER_MODULES = (87, "3c112e71ac72a5d6de8bf5e7e405aa056e94470aa4d080d640346fcec88d866f")
+    ENCODER_PARAMS = (116, "126d85291498eabfaf27c8f4464afb67f846cccbdc3c567545b746b4cea3fe9a")
+    SEG_MODULES = (89, "6dd35403a64b121780f69278f77e1fab964fc8913f5634cf998819d0adbc4277")
+    SEG_PARAMS = (122, "8cf7efc96f2874a5df69cbe325ae1ddffbe9cee124f44864628910c40ddcf221")
+
+    @staticmethod
+    def check(model, modules_pin, params_pin):
+        for names, pin in (([p for p, _ in model.named_modules()], modules_pin),
+                           ([n for n, _ in model.named_parameters()], params_pin)):
+            digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+            assert (len(names), digest) == pin, names
+
+    def test_encoder(self, rng):
+        enc = build_encoder(small_config(dtype=np.float32), seed=0)
+        self.check(enc, self.ENCODER_MODULES, self.ENCODER_PARAMS)
+        enc.forward(random_scene(rng, 200, 10, 1, np.float32), grad=True)
+        # the forward kept its backward state, and none of it is a child
+        assert ("LinKOp", "_state") in kept_state(enc)
+        self.check(enc, self.ENCODER_MODULES, self.ENCODER_PARAMS)
+
+    def test_augmented_seg_model(self, rng):
+        model = SegModel(small_config(mode="augmented"), 4, seed=0)
+        self.check(model, self.SEG_MODULES, self.SEG_PARAMS)
+        assert "encoder.stage4.link_module.link.frequency" in dict(model.named_parameters())
+        t = random_scene(rng, 200, 10, 1)
+        labels = rng.integers(0, 4, t.num_voxels)
+        model.loss_and_grad(t, downsample_labels(t.coords, labels, 4))
+        assert ("SparseConv", "_km") in kept_state(model)
+        self.check(model, self.SEG_MODULES, self.SEG_PARAMS)
 
 
 class TestKernelMapCache:
@@ -301,8 +336,8 @@ class TestInputOnlyBackward:
 
     def test_layer_norm_input_only(self, rng):
         x = rng.normal(size=(50, 6)).astype(np.float32)
-        _, cache = layer_norm_forward(x, LayerNormParams(
-            rng.uniform(0.5, 1.5, 6).astype(np.float32), np.zeros(6, np.float32)))
+        _, cache = layer_norm_forward(
+            x, rng.uniform(0.5, 1.5, 6).astype(np.float32), np.zeros(6, np.float32))
         g = rng.normal(size=x.shape).astype(np.float32)
         gx, _, _ = layer_norm_backward(g, cache)
         got = layer_norm_backward(g, cache, params=False)
@@ -317,18 +352,18 @@ class TestInputOnlyBackward:
     ])
     def test_layer_norm_bits_match_plain_formulas(self, rng, x_dtype, p_dtype, g_dtype):
         x = (3 * rng.normal(size=(300, 7)) + 1).astype(x_dtype)
-        params = LayerNormParams(rng.uniform(0.5, 1.5, 7).astype(p_dtype),
-                                 rng.normal(size=7).astype(p_dtype))
+        scale = rng.uniform(0.5, 1.5, 7).astype(p_dtype)
+        shift = rng.normal(size=7).astype(p_dtype)
         grad_y = rng.normal(size=x.shape).astype(g_dtype)
         # the formulas layer_norm_forward and layer_norm_backward work in place
         centered = x - x.mean(axis=1, keepdims=True)
         inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=1, keepdims=True) + LN_EPS)
         x_hat = centered * inv_std
-        y = x_hat * params.scale + params.shift
-        g = grad_y * params.scale
+        y = x_hat * scale + shift
+        g = grad_y * scale
         grad_x = inv_std * (g - g.mean(axis=1, keepdims=True)
                             - x_hat * (g * x_hat).mean(axis=1, keepdims=True))
-        got_y, cache = layer_norm_forward(x, params)
+        got_y, cache = layer_norm_forward(x, scale, shift)
         got = layer_norm_backward(grad_y, cache)
         expected = [y, x_hat, inv_std, grad_x, (grad_y * x_hat).sum(axis=0), grad_y.sum(axis=0)]
         for a, b in zip([got_y, cache[0], cache[1], *got], expected):
