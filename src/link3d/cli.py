@@ -1,9 +1,9 @@
 """Command-line surface: ``link verify|bench|erf|train-toy``.
 
 Configuration is a plain ``key=value`` file plus repeated ``--set key=value``
-overrides; unknown keys are hard errors to keep sweeps honest.  Exit codes:
-0 success, 1 verification/training failure, 2 usage or config error, 3 I/O
-or file-format error.
+overrides; a key the command does not read is a hard error, as is an unknown
+one, to keep sweeps honest.  Exit codes: 0 success, 1 verification/training
+failure, 2 usage or config error, 3 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +61,6 @@ PRESETS = {
 
 @dataclass
 class RunConfig:
-    command: str = ""
     s: int = 3
     r: int = 2
     mode: str = "pure"
@@ -87,24 +86,7 @@ class RunConfig:
         return np.float32 if self.precision == 32 else np.float64
 
 
-_COMMAND_DEFAULTS = {
-    "verify": {},
-    "bench": {"s": 7, "n_points": 8_000, "extent": 1.5},
-    "erf": {
-        "s": 7,
-        "r": 3,
-        "n_points": 40_000,
-        "extent": 2.4,
-        "profile": "ground+clusters",
-    },
-    "train-toy": {
-        "channels": 12,
-        "n_points": 1_500,
-        "extent": 1.0,
-        "precision": 64,
-        "max_voxels": 200,
-    },
-}
+_KINDS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse_bool(value: str) -> bool:
@@ -117,9 +99,7 @@ def _parse_bool(value: str) -> bool:
 
 
 def _coerce(key: str, value: str):
-    kind = {f.name: f.type for f in fields(RunConfig)}.get(key)
-    if kind is None:
-        raise ConfigError(f"unknown config key {key!r}")
+    kind = _KINDS[key]
     try:
         if kind == "bool":
             return _parse_bool(value)
@@ -132,23 +112,22 @@ def _coerce(key: str, value: str):
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
-def _apply(cfg: RunConfig, key: str, value: str) -> None:
-    key = key.strip()
-    if key == "preset":
-        preset = PRESETS.get(value.strip())
-        if preset is None:
-            raise ConfigError(
-                f"unknown preset {value!r}, expected one of {sorted(PRESETS)}"
-            )
-        for k, v in preset.items():
+def _apply(cfg: RunConfig, command: str, key: str, value: str) -> None:
+    key, value = key.strip(), value.strip()
+    if key != "preset" and key not in _KINDS:
+        raise ConfigError(f"unknown config key {key!r}")
+    if key not in _COMMANDS[command].reads:
+        raise ConfigError(f"{command} does not read {key}")
+    if key != "preset":
+        setattr(cfg, key, _coerce(key, value))
+    elif value in PRESETS:
+        for k, v in PRESETS[value].items():
             setattr(cfg, k, v)
-        return
-    if key == "command":
-        raise ConfigError("command cannot be set from configuration")
-    setattr(cfg, key, _coerce(key, value.strip()))
+    else:
+        raise ConfigError(f"unknown preset {value!r}, expected one of {sorted(PRESETS)}")
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig, reads: Sequence[str]) -> None:
     if cfg.s < 1 or cfg.r < 1:
         raise ConfigError("s and r must be >= 1")
     if cfg.s * cfg.r > MAX_FIELD:
@@ -158,8 +137,10 @@ def _validate(cfg: RunConfig) -> None:
         )
     if cfg.mode not in ("pure", "augmented"):
         raise ConfigError(f"mode must be pure or augmented, got {cfg.mode!r}")
-    if cfg.channels < 1 or cfg.groups < 1 or cfg.channels % cfg.groups != 0:
-        raise ConfigError("groups must be positive and divide channels")
+    # verify reads no channels: its suites size theirs as multiples of groups
+    if cfg.channels < 1 or not 1 <= cfg.groups <= MAX_CHANNELS or (
+            "channels" in reads and cfg.channels % cfg.groups != 0):
+        raise ConfigError(f"groups must be in 1..{MAX_CHANNELS} and divide channels")
     if cfg.channels > MAX_CHANNELS:
         raise ConfigError(f"channels must be <= {MAX_CHANNELS}, got {cfg.channels}")
     for key in ("voxel_size", "extent"):
@@ -188,9 +169,7 @@ def _validate(cfg: RunConfig) -> None:
 
 def load_config(command: str, config_path: Optional[str],
                 sets: Sequence[str], out: Optional[str]) -> RunConfig:
-    cfg = RunConfig(command=command)
-    for key, value in _COMMAND_DEFAULTS.get(command, {}).items():
-        setattr(cfg, key, value)
+    cfg = RunConfig(**_COMMANDS[command].defaults)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             try:
@@ -206,15 +185,15 @@ def load_config(command: str, config_path: Optional[str],
                     f"{config_path}:{lineno}: expected key=value, got {line!r}"
                 )
             key, _, value = line.partition("=")
-            _apply(cfg, key, value)
+            _apply(cfg, command, key, value)
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        _apply(cfg, key, value)
+        _apply(cfg, command, key, value)
     if out:
         cfg.out = out
-    _validate(cfg)
+    _validate(cfg, _COMMANDS[command].reads)
     return cfg
 
 
@@ -282,8 +261,6 @@ def _median_ms(fun) -> float:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.input:
-        raise ConfigError("verify runs on generated scenes and does not read input")
     results = run_suites(
         cfg.seed, cfg.mode, cfg.groups, cfg.precision,
         corrupt=cfg.corrupt == "drop-neighbor",
@@ -352,8 +329,6 @@ def cmd_erf(cfg: RunConfig) -> int:
 
 
 def cmd_train_toy(cfg: RunConfig) -> int:
-    if cfg.input:
-        raise ConfigError("train-toy trains on its own labeled scene and does not read input")
     cloud, point_labels = gen_labeled_scene(
         cfg.seed, cfg.n_points, cfg.extent, cfg.num_classes
     )
@@ -377,11 +352,26 @@ def cmd_train_toy(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+class Command(NamedTuple):
+    run: Callable[[RunConfig], int]
+    reads: Sequence[str]  # setting any other key is a ConfigError
+    defaults: dict
+
+
+# the keys bench, erf and train-toy share; preset sets s and r, so it goes with r
+_SCENE = "s mode groups channels voxel_size precision seed n_points extent out"
 _COMMANDS = {
-    "verify": cmd_verify,
-    "bench": cmd_bench,
-    "erf": cmd_erf,
-    "train-toy": cmd_train_toy,
+    "verify": Command(cmd_verify, "seed mode groups precision corrupt out".split(), {}),
+    # bench sweeps r itself; its r, the widest it runs, is what the s*r ceiling checks
+    "bench": Command(cmd_bench, f"{_SCENE} profile input".split(),
+                     {"s": 7, "r": max(BENCH_SWEEP), "n_points": 8_000, "extent": 1.5}),
+    "erf": Command(cmd_erf, f"{_SCENE} profile input r stage link_branch preset".split(),
+                   {"s": 7, "r": 3, "n_points": 40_000, "extent": 2.4,
+                    "profile": "ground+clusters"}),
+    "train-toy": Command(cmd_train_toy,
+                         f"{_SCENE} r steps lr num_classes link_branch max_voxels preset".split(),
+                         {"channels": 12, "n_points": 1_500, "extent": 1.0, "precision": 64,
+                          "max_voxels": 200}),
 }
 
 
@@ -401,14 +391,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.command, args.config, args.set, args.out)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command].run(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

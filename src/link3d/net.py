@@ -413,7 +413,7 @@ class Encoder(Module):
         for stage in self.stages[:n_stages]:
             x = stage.forward(x, grad)
             outs.append(x)
-        self._keep(grad, _n_ran=n_stages)
+        self._keep(grad, _shapes=[o.features.shape for o in outs])
         return outs
 
     def backward(self, stage_grads: Sequence[Optional[np.ndarray]],
@@ -426,13 +426,18 @@ class Encoder(Module):
         gradients accumulate into each module's ``grads``; with
         ``params=False`` none is computed and ``grads`` is left as it was.
         """
-        (n_ran,) = self._kept("_n_ran")
-        if len(stage_grads) != n_ran:
+        (shapes,) = self._kept("_shapes")
+        if len(stage_grads) != len(shapes):
             raise DimensionError(
-                f"expected {n_ran} stage gradients, got {len(stage_grads)}"
+                f"expected {len(shapes)} stage gradients, got {len(stage_grads)}"
             )
+        for i, (gi, shape) in enumerate(zip(stage_grads, shapes)):
+            if gi is not None and gi.shape != shape:
+                raise DimensionError(
+                    f"stage{i + 1} gradient has shape {gi.shape}, expected {shape}"
+                )
         g = None
-        for i in range(n_ran - 1, -1, -1):
+        for i in range(len(shapes) - 1, -1, -1):
             gi = stage_grads[i]
             if gi is not None:
                 g = gi if g is None else g + gi
@@ -548,13 +553,18 @@ def toy_train(scenes: Sequence[SparseTensor], labels: Sequence[np.ndarray],
     """
     if num_classes > 8 or num_classes < 2:
         raise ConfigError("toy training supports 2..8 classes")
-    for lab in labels:
-        if lab.min() < 0 or lab.max() >= num_classes:
-            raise ConfigError("labels out of range for num_classes")
-    model = SegModel(cfg, num_classes, seed=seed)
+    if not scenes or len(labels) != len(scenes):
+        raise ConfigError("toy training needs at least one scene and one label array per scene")
+    for s, lab in zip(scenes, labels):
+        if s.num_voxels == 0:
+            raise ConfigError("toy training requires non-empty scenes")
+        if np.shape(lab) != (s.num_voxels,):
+            raise DimensionError(f"one label per voxel required, got shape {np.shape(lab)} "
+                                 f"for {s.num_voxels} voxels")
     stage_labels = [
         downsample_labels(s.coords, lab, num_classes) for s, lab in zip(scenes, labels)
     ]
+    model = SegModel(cfg, num_classes, seed=seed)
     trace: List[float] = []
     for step in range(steps):
         model.zero_grads()

@@ -12,6 +12,7 @@ from link3d.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    _COMMANDS,
     load_config,
     main,
 )
@@ -28,7 +29,7 @@ class TestConfigParsing:
         assert cfg.s == 3 and cfg.r == 2 and cfg.mode == "pure"
 
     def test_set_overrides(self):
-        cfg = load_config("verify", None, ["s=5", "mode=augmented"], None)
+        cfg = load_config("erf", None, ["s=5", "mode=augmented"], None)
         assert cfg.s == 5 and cfg.mode == "augmented"
 
     def test_unknown_key_rejected(self):
@@ -37,12 +38,12 @@ class TestConfigParsing:
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
-            load_config("verify", None, ["s=three"], None)
+            load_config("erf", None, ["s=three"], None)
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# a comment\ns=7\nr=3\n\nmode=augmented\n")
-        cfg = load_config("verify", str(path), ["r=2"], None)
+        cfg = load_config("erf", str(path), ["r=2"], None)
         assert cfg.s == 7 and cfg.r == 2 and cfg.mode == "augmented"
 
     def test_config_file_unknown_key(self, tmp_path):
@@ -51,10 +52,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config("verify", str(path), [], None)
 
+    def test_config_file_key_the_command_does_not_read(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("s=7\n")
+        with pytest.raises(ConfigError, match="^verify does not read s$"):
+            load_config("verify", str(path), [], None)
+
     def test_presets(self):
-        det = load_config("verify", None, ["preset=detection"], None)
+        det = load_config("erf", None, ["preset=detection"], None)
         assert (det.s, det.r) == (7, 3)
-        seg = load_config("verify", None, ["preset=segmentation"], None)
+        seg = load_config("erf", None, ["preset=segmentation"], None)
         assert (seg.s, seg.r) == (3, 2)
 
     def test_env_threads(self, monkeypatch):
@@ -68,7 +75,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config("verify", None, ["precision=16"], None)
         with pytest.raises(ConfigError):
-            load_config("verify", None, ["groups=3", "channels=8"], None)
+            load_config("bench", None, ["groups=3", "channels=8"], None)
+
+    def test_verify_groups_need_no_channels(self):
+        # the suites size their channels from groups; the ceiling still holds
+        assert load_config("verify", None, ["groups=3"], None).groups == 3
+        with pytest.raises(ConfigError, match="groups must be in 1..1024"):
+            load_config("verify", None, ["groups=1025"], None)
 
 
 # text that reaches every coercion and range check, and arbitrary text
@@ -95,20 +108,26 @@ def test_any_set_value_validates_or_is_a_config_error(command, key, value):
         pass
 
 
+SIZED = ["bench", "erf", "train-toy"]  # the commands that read s, channels and n_points
+LAYOUT = ["erf", "train-toy"]  # the commands that read r
+TOO_LARGE = [
+    (SIZED, ["channels=1025"], "channels"),
+    (SIZED, ["channels=1000000000000"], "channels"),
+    (SIZED, ["n_points=10000001"], "n_points"),
+    (SIZED, ["n_points=1000000000000"], "n_points"),
+    (SIZED, ["s=65537"], "s*r"),
+    (LAYOUT, ["s=256", "r=257"], "s*r"),
+    (LAYOUT, ["preset=detection", "r=9363"], "s*r"),
+    (LAYOUT, ["r=100000000000000000000"], "s*r"),
+    # bench sweeps r up to 5, so its widest field is 5 * 13108 = 65540
+    (["bench"], ["s=13108"], "s*r"),
+]
+
+
 @pytest.mark.parametrize(
-    "settings,key",
-    [
-        (["channels=1025"], "channels"),
-        (["channels=1000000000000"], "channels"),
-        (["n_points=10000001"], "n_points"),
-        (["n_points=1000000000000"], "n_points"),
-        (["s=65537"], "s*r"),
-        (["s=256", "r=257"], "s*r"),
-        (["preset=detection", "r=9363"], "s*r"),
-        (["r=100000000000000000000"], "s*r"),
-    ],
+    "command,settings,key",
+    [(command, settings, key) for commands, settings, key in TOO_LARGE for command in commands],
 )
-@pytest.mark.parametrize("command", ["verify", "bench", "erf", "train-toy"])
 def test_too_large_is_one_line_config_error(command, settings, key):
     """Validation only: these sizes are never allocated."""
     with pytest.raises(ConfigError, match=re.escape(key)) as exc:
@@ -119,7 +138,7 @@ def test_too_large_is_one_line_config_error(command, settings, key):
 @pytest.mark.parametrize("settings", [["channels=1024"], ["n_points=10000000"],
                                       ["s=256", "r=256"], ["s=1", "r=65536"]])
 def test_ceilings_are_inclusive(settings):
-    load_config("verify", None, settings, None)
+    load_config("erf", None, settings, None)
 
 
 @pytest.mark.parametrize(
@@ -143,6 +162,21 @@ def test_huge_uncapped_values_run(command, settings, tmp_path, capsys):
 def test_huge_steps_is_accepted():
     """Validation only: ``steps`` has no ceiling, and nothing runs here."""
     assert load_config("train-toy", None, [f"steps={10 ** 23}"], None).steps == 10 ** 23
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)] + ["preset"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_command_takes_only_the_keys_it_reads(command, key, capsys):
+    """A key in the command's table entry loads; any other exits 2 naming both.
+    Nothing runs: the refusal comes from loading the configuration."""
+    reads = _COMMANDS[command].reads
+    assert ("preset" in reads) == ({"s", "r"} <= set(reads))  # preset sets s and r
+    value = "detection" if key == "preset" else str(getattr(RunConfig(), key))
+    if key in reads:
+        load_config(command, None, [f"{key}={value}"], None)
+    else:
+        assert run([command, "--set", f"{key}={value}"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {command} does not read {key}\n"
 
 
 class TestVerifyCommand:
@@ -180,8 +214,7 @@ class TestVerifyCommand:
         assert run(["verify", "--set", f"input={tmp_path}/absent.bin"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: verify runs on generated scenes "
-                                "and does not read input\n")
+        assert captured.err == "error: verify does not read input\n"
 
 
 SMALL_BENCH = [
@@ -313,9 +346,7 @@ class TestTrainToyCommand:
     def test_input_is_a_usage_error(self, tmp_path, capsys):
         # it trains on its generated labeled scene, so a scan path is refused
         assert run(["train-toy", "--set", f"input={tmp_path}/absent.bin"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err == ("error: train-toy trains on its own labeled scene "
-                       "and does not read input\n")
+        assert capsys.readouterr().err == "error: train-toy does not read input\n"
 
     def test_float32_training_runs(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -360,29 +391,29 @@ class TestInputAndExitCodes:
         assert err == f"error: {config}: not UTF-8 text\n"
 
     @pytest.mark.parametrize(
-        "setting",
+        "command,setting",
         [
-            "voxel_size=nan",
-            "voxel_size=inf",
-            "voxel_size=0",
-            "voxel_size=-0.05",
-            "extent=nan",
-            "extent=inf",
-            "extent=0",
-            "extent=-1",
-            "extent=1e4",
-            "lr=nan",
-            "lr=inf",
-            "lr=-inf",
-            "deterministic=true",
-            "threads=2",
-            "seed=-1",
-            "seed=-9223372036854775808",
+            ("bench", "voxel_size=nan"),
+            ("bench", "voxel_size=inf"),
+            ("bench", "voxel_size=0"),
+            ("bench", "voxel_size=-0.05"),
+            ("bench", "extent=nan"),
+            ("bench", "extent=inf"),
+            ("bench", "extent=0"),
+            ("bench", "extent=-1"),
+            ("bench", "extent=1e4"),
+            ("train-toy", "lr=nan"),
+            ("train-toy", "lr=inf"),
+            ("train-toy", "lr=-inf"),
+            ("bench", "deterministic=true"),
+            ("bench", "threads=2"),
+            ("bench", "seed=-1"),
+            ("bench", "seed=-9223372036854775808"),
         ],
     )
-    def test_bad_size_exits_2_with_one_line(self, setting, capsys):
+    def test_bad_size_exits_2_with_one_line(self, command, setting, capsys):
         key = setting.partition("=")[0]
-        assert run(["bench", "--set", setting]) == EXIT_USAGE
+        assert run([command, "--set", setting]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert key in err

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 
 from link3d import (
     ConfigError,
+    DimensionError,
     SparseTensor,
     build_encoder,
     count_dense_kernel_params,
@@ -374,7 +376,7 @@ class TestForwardState:
     """A forward keeps backward state only with ``grad=True``."""
 
     STATE = {
-        ("Encoder", "_n_ran"), ("SparseConv", "_t"), ("SparseConv", "_km"),
+        ("Encoder", "_shapes"), ("SparseConv", "_t"), ("SparseConv", "_km"),
         ("PointwiseConv", "_x"), ("Norm", "_cache"), ("LinKOp", "_t"), ("LinKOp", "_state"),
         ("ConvNormReLU", "_pre"), ("ResidualBlock", "_pre1"), ("ResidualBlock", "_pre2"),
         ("LinKModule", "_pre"),
@@ -403,6 +405,19 @@ class TestForwardState:
         for module in modules(enc.stages[0]):
             with pytest.raises(ConfigError, match="grad=True"):
                 module.backward(np.ones((1, 3)))
+
+    def test_misshapen_stage_gradient_raises_before_any_backward(self, rng):
+        t = random_scene(rng, 300, 12, 1)
+        enc = build_encoder(small_config(), seed=0)
+        outs = enc.forward(t, grad=True)
+        grads = [np.ones_like(o.features) for o in outs]
+        grads[1] = np.ones((3, 4))
+        want = f"stage2 gradient has shape (3, 4), expected {outs[1].features.shape}"
+        assert outs[1].num_voxels != 3
+        with pytest.raises(DimensionError, match=re.escape(want)):
+            enc.backward(grads)
+        # stages 4 and 3 come first in the backward chain, and left no gradient
+        assert all(g is None for _, g in enc.named_grads())
 
     def test_no_forward_raises(self, rng):
         with pytest.raises(ConfigError, match="SparseConv.backward"):
@@ -585,6 +600,24 @@ class TestToyTrain:
         bad = np.full(t.num_voxels, 9)
         with pytest.raises(ConfigError):
             toy_train([t], [bad], small_config(channels=4), 1, 0.1, num_classes=4)
+
+    @pytest.mark.parametrize(
+        "case,error",
+        [("no-scenes", ConfigError), ("no-labels", ConfigError), ("empty-scene", ConfigError),
+         ("short-labels", DimensionError), ("2d-labels", DimensionError)],
+    )
+    def test_input_validation(self, rng, case, error):
+        t, labels = self._scene(rng)
+        empty = SparseTensor(np.zeros((0, 4), np.int64), np.zeros((0, 1)))
+        scenes, scene_labels = {
+            "no-scenes": ([], []),
+            "no-labels": ([t], []),
+            "empty-scene": ([empty], [np.zeros(0, np.int64)]),
+            "short-labels": ([t], [labels[:-1]]),
+            "2d-labels": ([t], [labels[:, None]]),
+        }[case]
+        with pytest.raises(error):
+            toy_train(scenes, scene_labels, small_config(channels=4), 1, 0.1, num_classes=3)
 
 
 class TestReluBackward:
